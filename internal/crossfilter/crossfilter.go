@@ -214,7 +214,7 @@ func (a *App) btHighlight(v int, bar Rid) (Counts, error) {
 			continue
 		}
 		res, err := a.db.Query().
-			Backward(a.views[v], a.rel.Name, []Rid{bar}).
+			Trace(a.views[v], core.TraceBackward, a.rel.Name, core.Rids(bar)).
 			GroupBy(a.dims[w]).
 			Agg(ops.Count, nil, "count").
 			Run(core.CaptureOptions{Mode: ops.None})

@@ -218,3 +218,12 @@ func TestShardedDifferentialEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedThresholdBoundary pins the scan-vs-index trace boundary: on
+// either side of ⌈N/2⌉ seeded groups the coordinator must take the same path
+// as a single node, bare and consuming.
+func TestShardedThresholdBoundary(t *testing.T) {
+	if err := CheckShardedThreshold(); err != nil {
+		t.Fatal(err)
+	}
+}

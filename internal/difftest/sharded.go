@@ -31,7 +31,7 @@ var shardStrategies = []string{"eager", "lazy", "hybrid"}
 // for every shard count × capture strategy × index representation — as on a
 // single node. It drives both tiers through their public HTTP API, so the
 // whole scatter/gather path is under test: routing, seed translation,
-// two-phase merge, scan-decision mirroring, and slot rebasing.
+// two-phase merge, the shared scan-vs-index decision, and slot rebasing.
 func CheckSharded(seed int64, queries int) error {
 	r := rand.New(rand.NewSource(seed))
 	ds := GenDataset(r)
@@ -131,6 +131,103 @@ func CheckSharded(seed int64, queries int) error {
 	return nil
 }
 
+// CheckShardedThreshold pins the backward trace's scan-vs-index boundary
+// (exec.PreferScan): a key-predicate seed selecting exactly ⌈N/2⌉ of the N
+// output groups takes the scan, one group fewer takes the per-seed index
+// expansion, on a single node and on a sharded coordinator alike (shards 2
+// and 4, strategy eager), for a bare and a consuming trace. The table's
+// groups interleave round-robin in rid order and its consuming key cycles
+// with period 3 against group counts ≡ 2 (mod 3), so the two paths return
+// different row orders; the check first proves that on the reference (the
+// forced-lazy scan equals the eager answer at ⌈N/2⌉ and differs below it),
+// so a coordinator that picked the other path on either side must fail.
+func CheckShardedThreshold() error {
+	ctx := context.Background()
+	ref, closeRef, err := startRefServer()
+	if err != nil {
+		return err
+	}
+	defer closeRef()
+	var coords []*serverclient.Client
+	for _, n := range []int{2, 4} {
+		c, closeCoord, err := startCoordServer(n)
+		if err != nil {
+			return err
+		}
+		defer closeCoord()
+		coords = append(coords, c)
+	}
+	fields := []serverclient.Field{{Name: "g", Type: "int"}, {Name: "h", Type: "int"}, {Name: "v", Type: "float"}}
+	// Group counts ≡ 2 (mod 3): the consuming key h = rid%3 is then
+	// discovered in a different order seed-major than in rid order.
+	for _, groups := range []int{5, 8} {
+		table := fmt.Sprintf("rr%d", groups)
+		rows := make([][]any, 6*groups)
+		for i := range rows {
+			rows[i] = []any{int64(i % groups), int64(i % 3), float64(i) + 0.5}
+		}
+		if err := ref.CreateTable(ctx, table, fields, rows, ""); err != nil {
+			return fmt.Errorf("difftest: threshold: ingest: %w", err)
+		}
+		sessions := make([]*serverclient.Session, len(coords))
+		for i, c := range coords {
+			if err := c.CreateTableDist(ctx, table, fields, rows, "", "shard"); err != nil {
+				return fmt.Errorf("difftest: threshold: ingest: %w", err)
+			}
+			if sessions[i], err = c.NewSession(ctx); err != nil {
+				return err
+			}
+		}
+		refSess, err := ref.NewSession(ctx)
+		if err != nil {
+			return err
+		}
+		req := serverclient.QueryRequest{SQL: fmt.Sprintf("SELECT g, COUNT(*) AS cnt, SUM(v) AS sv FROM %s GROUP BY g", table), Strategy: "eager"}
+		if _, err := refSess.Run(ctx, "base", req); err != nil {
+			return fmt.Errorf("difftest: threshold: reference run: %w", err)
+		}
+		for _, sess := range sessions {
+			if _, err := sess.Run(ctx, "base", req); err != nil {
+				return fmt.Errorf("difftest: threshold: run: %w", err)
+			}
+		}
+		half := (groups + 1) / 2
+		for _, seeded := range []int{half, half - 1} {
+			for _, consuming := range []bool{false, true} {
+				tr := serverclient.TraceRequest{Direction: "backward", Table: table, SeedWhere: fmt.Sprintf("g >= %d", groups-seeded)}
+				if consuming {
+					tr.GroupBy = []string{"h"}
+					tr.Aggs = []serverclient.Agg{{Fn: "count", Name: "n"}, {Fn: "sum", Arg: "v", Name: "sv"}}
+				}
+				tag := fmt.Sprintf("difftest: threshold: %d of %d groups consuming=%v", seeded, groups, consuming)
+				want, err := refSess.Trace(ctx, "base", tr)
+				if err != nil {
+					return fmt.Errorf("%s: reference: %w", tag, err)
+				}
+				forced := tr
+				forced.Strategy = "lazy"
+				scan, err := refSess.Trace(ctx, "base", forced)
+				if err != nil {
+					return fmt.Errorf("%s: reference scan: %w", tag, err)
+				}
+				if same := diffWire(scan, want) == nil; same != (seeded == half) {
+					return fmt.Errorf("%s: reference took the scan path = %v; the data does not pin the boundary", tag, same)
+				}
+				for i, sess := range sessions {
+					got, err := sess.Trace(ctx, "base", tr)
+					if err != nil {
+						return fmt.Errorf("%s shards=%d: %w", tag, 2*(i+1), err)
+					}
+					if err := diffWire(want, got); err != nil {
+						return fmt.Errorf("%s shards=%d: %w", tag, 2*(i+1), err)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // genShardSQL builds one randomized scatterable SPJA statement: a grouped
 // aggregation over the sharded fact table, optionally joined against the
 // replicated dim. COUNT(DISTINCT), HAVING, ORDER BY, and LIMIT are fenced
@@ -173,9 +270,10 @@ func genShardSQL(r *rand.Rand, ds *Dataset) (string, []string) {
 
 // genShardTraces builds the trace battery for one retained result: explicit
 // global rids (the seed-translation path), trace-all and key-predicate seeds
-// (the scan-decision mirror on single-table bases; per-seed order-exact gather
-// on probe-last joins), a non-key predicate seed (always per-seed), filtered
-// and consuming variants, and forward traces both rid- and predicate-seeded.
+// (the shared scan-vs-index decision on single-table bases; per-seed
+// order-exact gather on probe-last joins), a non-key predicate seed (always
+// per-seed), filtered and consuming variants, and forward traces both rid-
+// and predicate-seeded.
 // outN gates rid selection so every seed is globally valid.
 func genShardTraces(r *rand.Rand, ds *Dataset, keys []string, outN int) []serverclient.TraceRequest {
 	trs := []serverclient.TraceRequest{
@@ -209,7 +307,7 @@ func genShardTraces(r *rand.Rand, ds *Dataset, keys []string, outN int) []server
 }
 
 // keySeedPred builds a seed predicate over a group-key column — the shape
-// whose scan-vs-index decision the coordinator mirrors globally.
+// whose scan-vs-index decision the coordinator takes with global counts.
 func keySeedPred(r *rand.Rand, key string) string {
 	switch key {
 	case "b", "k":

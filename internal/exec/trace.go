@@ -49,6 +49,16 @@ const (
 	scanEquivThresholdDen = 2
 )
 
+// PreferScan is the scan-vs-index rule for a backward trace whose optimizer
+// proved a scan-and-filter equivalent (plan.Backward.ScanEquiv): run the
+// scan when seeds select at least the threshold share of the outN source
+// output rows, expand the index otherwise. The shard coordinator takes the
+// same decision with global counts by calling it, so the two tiers cannot
+// drift apart.
+func PreferScan(seeds, outN int) bool {
+	return outN > 0 && seeds*scanEquivThresholdDen >= outN*scanEquivThresholdNum
+}
+
 // traceIndex resolves step 1 for one direction: the source's output relation
 // and its lineage index for table.
 func traceIndex(source plan.Node, bound *plan.BoundTrace, table string, need ops.Directions, opts PlanOpts) (*storage.Relation, *lineage.Index, error) {
@@ -146,8 +156,7 @@ func backwardRids(node plan.Backward, opts PlanOpts) ([]lineage.Rid, *plan.Scan,
 	if err != nil {
 		return nil, nil, err
 	}
-	if node.ScanEquiv != nil && srcOut.N > 0 &&
-		len(seeds)*scanEquivThresholdDen >= srcOut.N*scanEquivThresholdNum {
+	if node.ScanEquiv != nil && PreferScan(len(seeds), srcOut.N) {
 		return nil, node.ScanEquiv, nil
 	}
 	var keep func(lineage.Rid) bool

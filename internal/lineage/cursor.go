@@ -9,7 +9,7 @@ package lineage
 //   - Expansion (EncodedIndex.AppendList): each chunk pre-grows the output
 //     by its exact count and fills it with indexed writes — no per-element
 //     append, no growth checks in the inner loop.
-//   - In-situ trace (TraceInSitu / ParTraceInSitu): because chunks are
+//   - In-situ trace (TraceInSitu): because chunks are
 //     self-contained, the backward trace of a seed set is the byte
 //     concatenation of the seeds' chunk bytes. The result stays encoded
 //     (EncodedList) and moves ~1–2 bytes per rid instead of decoding and

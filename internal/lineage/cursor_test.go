@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-
-	"smoke/internal/pool"
 )
 
 // expandViaCursor decodes an encoded byte sequence with the chunk cursor.
@@ -122,33 +120,6 @@ func TestTraceInSituMatchesTrace(t *testing.T) {
 		if !reflect.DeepEqual(dec, want) {
 			t.Fatalf("src %v: in-situ trace decoded %v, want %v", src, dec, want)
 		}
-	}
-}
-
-func TestParTraceInSituMatchesSerial(t *testing.T) {
-	lists := make([][]Rid, 500)
-	rng := rand.New(rand.NewSource(3))
-	for i := range lists {
-		n := rng.Intn(20)
-		l := make([]Rid, n)
-		base := Rid(i * 50)
-		for j := range l {
-			base += Rid(rng.Intn(5))
-			l[j] = base
-		}
-		lists[i] = l
-	}
-	e := buildEncIndex(lists)
-	src := make([]Rid, 300)
-	for i := range src {
-		src[i] = Rid(rng.Intn(len(lists)))
-	}
-	want := e.TraceInSitu(src)
-	pl := pool.New(4)
-	defer pl.Close()
-	got := ParTraceInSitu(e, src, 4, pl)
-	if got.N != want.N || !reflect.DeepEqual(got.AppendTo(nil), want.AppendTo(nil)) {
-		t.Fatal("parallel in-situ trace differs from serial")
 	}
 }
 

@@ -304,7 +304,7 @@ func rewriteTraces(n Node) Node {
 		if node.Source != nil {
 			node.Source = rewriteTraces(node.Source)
 		}
-		sc, ok := traceScanEquiv(node)
+		sc, ok := TraceScanEquiv(node)
 		if !ok {
 			return node
 		}
@@ -323,10 +323,13 @@ func rewriteTraces(n Node) Node {
 	return n
 }
 
-// traceScanEquiv derives the scan-and-filter equivalent of a Backward trace,
-// when one exists. Explicit rid seeds never qualify — they address output
-// rows the rewrite cannot name — so the trace must be seeded with nil or a
-// predicate, over one of two source shapes:
+// TraceScanEquiv derives the scan-and-filter equivalent of a Backward trace,
+// when one exists; its filter folds the scan filter, the source's
+// intermediate filter, the seed predicate, and the trace filter. The
+// trace-rewrite rule applies it, and the shard coordinator asks it whether
+// a scattered trace collapses to a scan. Explicit rid seeds never qualify —
+// they address output rows the rewrite cannot name — so the trace must be
+// seeded with nil or a predicate, over one of two source shapes:
 //
 //   - a group-by over a single scan of the traced relation, with the seed
 //     predicate referencing group keys only: each base row feeds exactly one
@@ -335,7 +338,7 @@ func rewriteTraces(n Node) Node {
 //   - a bare (possibly filtered) scan of the traced relation: its backward
 //     lineage is the selection itself, so a seed predicate over the output
 //     columns is a predicate over the surviving base rows verbatim.
-func traceScanEquiv(node Backward) (Scan, bool) {
+func TraceScanEquiv(node Backward) (Scan, bool) {
 	if node.SeedRids != nil {
 		return Scan{}, false
 	}
@@ -368,7 +371,7 @@ func traceScanEquiv(node Backward) (Scan, bool) {
 	return sc, true
 }
 
-// scanEquivSource matches the source shapes traceScanEquiv (and the strategy
+// scanEquivSource matches the source shapes TraceScanEquiv (and the strategy
 // chooser via ProfileTrace) understands: an optional group-by over an
 // optional filter over a scan. keys/grouped carry the group-by context;
 // pred is the intermediate filter, folded into the returned scan's filter by

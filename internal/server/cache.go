@@ -135,10 +135,10 @@ func cacheKey(fingerprint string, opts core.CaptureOptions) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// paramsFromJSON converts wire parameters to expression parameters. Numbers
+// ParamsFromJSON converts wire parameters to expression parameters. Numbers
 // arrive as json.Number; integral values bind as int64 (so :cutoff compares
 // against int columns), everything else as float64.
-func paramsFromJSON(in map[string]any) (expr.Params, error) {
+func ParamsFromJSON(in map[string]any) (expr.Params, error) {
 	if len(in) == 0 {
 		return nil, nil
 	}

@@ -9,20 +9,15 @@ import (
 	"strings"
 
 	"smoke/internal/serr"
+	"smoke/internal/serverclient"
 	"smoke/internal/storage"
 )
-
-// fieldJSON is one schema field on the wire.
-type fieldJSON struct {
-	Name string `json:"name"`
-	Type string `json:"type"` // "int" | "float" | "string"
-}
 
 // tableJSON is the JSON ingest body of POST /v1/tables/{name}: an explicit
 // schema plus rows in schema order.
 type tableJSON struct {
-	Schema []fieldJSON `json:"schema"`
-	Rows   [][]any     `json:"rows"`
+	Schema []serverclient.Field `json:"schema"`
+	Rows   [][]any              `json:"rows"`
 	// PK optionally declares the primary-key column (enables the pk-fk join
 	// specializations for later queries).
 	PK string `json:"pk,omitempty"`
@@ -40,7 +35,8 @@ func parseType(s string) (storage.Type, error) {
 	return 0, serr.New(serr.Invalid, "server: unknown column type %q (want int, float, or string)", s)
 }
 
-func typeName(t storage.Type) string {
+// TypeName is a column type's wire name.
+func TypeName(t storage.Type) string {
 	switch t {
 	case storage.TInt:
 		return "int"
@@ -107,6 +103,8 @@ func jsonInt(v any) (int64, error) {
 		return strconv.ParseInt(n.String(), 10, 64)
 	case float64:
 		return int64(n), nil
+	case int64:
+		return n, nil
 	}
 	return 0, serr.New(serr.Invalid, "want integer, got %T", v)
 }
@@ -225,8 +223,6 @@ func sniffCSVType(rows [][]string, c int) storage.Type {
 	return storage.TString
 }
 
-// relationJSON renders a relation as the wire result shape shared by every
-// query/trace/result endpoint.
 // ParseTableCSV builds a relation from a CSV ingest body (header record
 // first; types as in POST /v1/tables). Exported for the shard coordinator
 // (internal/shard), which parses an ingest body once and splits the rows by
@@ -269,30 +265,23 @@ func VerifyPK(rel *storage.Relation, pk string) error {
 	return nil
 }
 
-type resultJSON struct {
-	Columns []string `json:"columns"`
-	Types   []string `json:"types"`
-	Rows    [][]any  `json:"rows"`
-	N       int      `json:"row_count"`
-	// GroupCounts is the input cardinality of each output group on group-by
-	// results. The shard coordinator merges per-shard partial aggregates
-	// through it (AVG reweighting needs the partial group sizes).
-	GroupCounts []int64 `json:"group_counts,omitempty"`
-	Cached      bool    `json:"cached,omitempty"`
-	Explain     string  `json:"explain,omitempty"`
-	// Retained echoes the name a result was stored under in the session.
-	Retained string `json:"retained,omitempty"`
-	// StrategyUsed echoes the lineage path that answered this request
-	// ("eager", "lazy", "hybrid") when the request selected a strategy or a
-	// trace was routed through a non-eager path.
-	StrategyUsed string `json:"strategy_used,omitempty"`
+// Schema renders a relation's schema in wire form (nil when it has no
+// columns).
+func Schema(rel *storage.Relation) []serverclient.Field {
+	var out []serverclient.Field
+	for _, f := range rel.Schema {
+		out = append(out, serverclient.Field{Name: f.Name, Type: TypeName(f.Type)})
+	}
+	return out
 }
 
-func renderRelation(rel *storage.Relation) resultJSON {
-	out := resultJSON{N: rel.N, Rows: make([][]any, rel.N)}
+// RenderRelation renders a relation as the wire result shape shared by
+// every query, trace, and result endpoint.
+func RenderRelation(rel *storage.Relation) serverclient.Result {
+	out := serverclient.Result{N: rel.N, Rows: make([][]any, rel.N)}
 	for _, f := range rel.Schema {
 		out.Columns = append(out.Columns, f.Name)
-		out.Types = append(out.Types, typeName(f.Type))
+		out.Types = append(out.Types, TypeName(f.Type))
 	}
 	for i := 0; i < rel.N; i++ {
 		row := make([]any, len(rel.Schema))
@@ -302,4 +291,16 @@ func renderRelation(rel *storage.Relation) resultJSON {
 		out.Rows[i] = row
 	}
 	return out
+}
+
+// ResultRelation rebuilds a relation from a decoded wire result, the inverse
+// of RenderRelation. The shard coordinator evaluates seed predicates and
+// consuming filters over merged results through it, exactly as a single
+// node evaluates them over its own output relation.
+func ResultRelation(name string, res *serverclient.Result) (*storage.Relation, error) {
+	body := tableJSON{Schema: make([]serverclient.Field, len(res.Columns)), Rows: res.Rows}
+	for c, col := range res.Columns {
+		body.Schema[c] = serverclient.Field{Name: col, Type: res.Types[c]}
+	}
+	return relationFromJSON(name, body)
 }

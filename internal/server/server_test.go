@@ -210,7 +210,7 @@ func TestSessionTraceRoundTrip(t *testing.T) {
 	if cons.Retained != "drill" {
 		t.Fatalf("consuming retained = %q", cons.Retained)
 	}
-	consRef, err := db.Query().Backward(ref, "orders", []lineage.Rid{0}).
+	consRef, err := db.Query().Trace(ref, core.TraceBackward, "orders", core.Rids(0)).
 		Where(coreLt("amount", 25)).GroupBy("region").
 		Agg(ops.Count, nil, "n").Agg(ops.Sum, coreCol("amount"), "s").
 		Run(core.CaptureOptions{Mode: ops.Inject})
@@ -666,7 +666,7 @@ func TestAdmissionGateRejects(t *testing.T) {
 	}
 	// Queue is full: the next request is turned away immediately with Busy.
 	err := g.enter(ctx)
-	if err == nil || statusOf(err) != 429 {
+	if err == nil || StatusOf(err) != 429 {
 		t.Fatalf("overflow enter = %v, want Busy/429", err)
 	}
 	g.exit()

@@ -1,9 +1,12 @@
 // Package serverclient is the Go client for the smoked HTTP API
-// (internal/server): table ingest, SQL queries, and session-scoped retained
-// results with bound backward/forward traces. The server's own tests, the
-// serve bench experiment's load generator, and external Go tools all speak
-// through it, so the wire shapes live in exactly two places (server encode,
-// client decode) and drift breaks tests immediately.
+// (internal/server) and the one owner of its wire contract. Every JSON
+// shape the API speaks — query and trace requests, consuming aggregates,
+// results, sessions, and the uniform error body — is a single Go type here:
+// the server encodes its replies from these types, and this client and the
+// shard coordinator (internal/shard) decode them through the one reply
+// decoder, Decode. A field added to a shape therefore reaches every speaker
+// at compile time instead of drifting between copies. The package imports
+// only the standard library.
 package serverclient
 
 import (
@@ -37,72 +40,117 @@ type Error struct {
 	Kind    string // serr kind string ("invalid", "gone", ...)
 	Message string
 	Pos     int // byte offset into the SQL text, -1 if absent
+	// Structured is false when the body was not the uniform error shape;
+	// Kind is then "internal" and Message holds the raw body.
+	Structured bool
 }
 
 func (e *Error) Error() string {
 	return fmt.Sprintf("server: %d %s: %s", e.Status, e.Kind, e.Message)
 }
 
-// Field mirrors one schema field.
+// ErrorBody is the uniform error reply body.
+type ErrorBody struct {
+	Error struct {
+		Kind    string `json:"kind"`
+		Message string `json:"message"`
+		Pos     *int   `json:"pos,omitempty"` // byte offset into the SQL text
+	} `json:"error"`
+}
+
+// Field is one schema field.
 type Field struct {
 	Name string `json:"name"`
 	Type string `json:"type"` // "int" | "float" | "string"
 }
 
-// Result is a decoded query/trace/result response. Row values are normalized
-// by column type: int64, float64, or string.
+// Result is the reply of every query, trace, and retained-result endpoint.
+// Decoded row values are normalized by column type: int64, float64, or
+// string.
 type Result struct {
 	Columns []string `json:"columns"`
 	Types   []string `json:"types"`
 	Rows    [][]any  `json:"rows"`
 	N       int      `json:"row_count"`
 	// GroupCounts is the input cardinality of each output group on group-by
-	// results (the shard coordinator's two-phase aggregation reads it).
-	GroupCounts []int64 `json:"group_counts"`
-	Cached      bool    `json:"cached"`
-	Explain     string  `json:"explain"`
-	Retained    string  `json:"retained"`
-	// StrategyUsed echoes the lineage path that answered ("eager", "lazy",
-	// "hybrid") when a strategy was requested or a trace took a non-default
-	// path.
-	StrategyUsed string `json:"strategy_used"`
+	// results. The shard coordinator merges per-shard partial aggregates
+	// through it (AVG reweighting needs the partial group sizes).
+	GroupCounts []int64 `json:"group_counts,omitempty"`
+	Cached      bool    `json:"cached,omitempty"`
+	Explain     string  `json:"explain,omitempty"`
+	// Retained echoes the name a result was stored under in the session.
+	Retained string `json:"retained,omitempty"`
+	// StrategyUsed echoes the lineage path that answered this request
+	// ("eager", "lazy", "hybrid") when the request selected a strategy or a
+	// trace was routed through a non-eager path.
+	StrategyUsed string `json:"strategy_used,omitempty"`
 }
 
-// QueryRequest is the body of Query and Session.Run.
+// QueryRequest is the body of POST /v1/query and POST
+// /v1/sessions/{id}/results/{name}.
 type QueryRequest struct {
-	SQL      string         `json:"sql"`
-	Capture  string         `json:"capture,omitempty"` // none | inject | defer
+	SQL string `json:"sql"`
+	// Capture is "none", "inject", or "defer". /v1/query defaults to none;
+	// retained results default to inject (a capture is the point of
+	// retaining) unless Strategy is "lazy".
+	Capture  string         `json:"capture,omitempty"`
 	Compress bool           `json:"compress,omitempty"`
 	Params   map[string]any `json:"params,omitempty"`
-	// Strategy selects lineage capture: "eager", "lazy", "hybrid", "auto",
-	// or "" for the capture mode's default.
+	// Strategy is "eager", "lazy", "hybrid", or "auto" (empty keeps the
+	// capture-mode default). Lazy retains no indexes: traces re-execute the
+	// stored plan. Conflicting capture/strategy combinations are 400s.
 	Strategy string `json:"strategy,omitempty"`
 }
 
-// TraceRequest is the body of Session.Trace: a bound trace of a retained
-// result, optionally filtered/re-aggregated/re-retained.
+// TraceRequest is the body of POST /v1/sessions/{id}/results/{name}/trace:
+// a bound backward/forward trace of the retained result, optionally
+// filtered and re-aggregated (the consuming query), optionally retained
+// under a new name for further chained traces.
 type TraceRequest struct {
-	Direction string         `json:"direction"` // backward | forward
-	Table     string         `json:"table"`
-	Rids      []int64        `json:"rids,omitempty"`
-	SeedWhere string         `json:"seed_where,omitempty"`
-	Where     string         `json:"where,omitempty"`
-	GroupBy   []string       `json:"group_by,omitempty"`
-	Aggs      []Agg          `json:"aggs,omitempty"`
-	Capture   string         `json:"capture,omitempty"`
-	Compress  bool           `json:"compress,omitempty"`
-	Params    map[string]any `json:"params,omitempty"`
-	Retain    string         `json:"retain,omitempty"`
-	// Strategy forces the trace path: "eager" (captured index required) or
-	// "lazy" (plan re-execution); "" keeps the result's own routing.
+	// Direction is "backward" or "forward".
+	Direction string `json:"direction"`
+	// Table is the base relation to trace into (backward) or from (forward).
+	Table string `json:"table"`
+	// Rids seeds the trace with explicit rids (output rids for backward,
+	// base rids for forward). Mutually exclusive with SeedWhere. It carries
+	// no omitempty on purpose: nil traces everything, while a present but
+	// empty list is an explicit zero-seed trace and must reach the server.
+	Rids []int64 `json:"rids"`
+	// SeedWhere seeds the trace by predicate (SQL expression syntax) over
+	// the result's output rows (backward) or the base rows (forward).
+	SeedWhere string `json:"seed_where,omitempty"`
+	// Where filters the traced rows during rid-list expansion.
+	Where string `json:"where,omitempty"`
+	// GroupBy + Aggs build a consuming aggregation over the traced rows;
+	// empty GroupBy returns the traced rows themselves.
+	GroupBy []string `json:"group_by,omitempty"`
+	Aggs    []Agg    `json:"aggs,omitempty"`
+
+	Capture  string         `json:"capture,omitempty"`
+	Compress bool           `json:"compress,omitempty"`
+	Params   map[string]any `json:"params,omitempty"`
+	// Retain stores the trace result under this name in the same session
+	// (consuming results are base queries for further traces, §2.1).
+	Retain string `json:"retain,omitempty"`
+	// Strategy forces the trace's answer path: "eager" requires the captured
+	// index (400 when the result has none), "lazy" forces plan re-execution.
+	// Empty or "auto" keeps the result's own routing; "hybrid" is a
+	// capture-time split, not a per-trace path, and is a 400 here. The
+	// response echoes the path taken in "strategy_used".
 	Strategy string `json:"strategy,omitempty"`
 }
 
 // Agg is one consuming aggregate.
 type Agg struct {
-	Fn   string `json:"fn"`
-	Arg  string `json:"arg,omitempty"`
+	Fn   string `json:"fn"`            // count, sum, avg, min, max, count_distinct
+	Arg  string `json:"arg,omitempty"` // SQL expression; empty for count
 	Name string `json:"name,omitempty"`
+}
+
+// SessionInfo is the reply of POST /v1/sessions.
+type SessionInfo struct {
+	ID  string `json:"id"`
+	TTL int    `json:"ttl_seconds"`
 }
 
 // Health pings the server and returns its status map.
@@ -165,7 +213,6 @@ func (c *Client) Query(ctx context.Context, req QueryRequest) (*Result, error) {
 	if err := c.do(ctx, http.MethodPost, "/v1/query", req, &out); err != nil {
 		return nil, err
 	}
-	out.normalize()
 	return &out, nil
 }
 
@@ -183,10 +230,7 @@ func (c *Client) Session(id string) *Session { return &Session{ID: id, c: c} }
 
 // NewSession opens a session.
 func (c *Client) NewSession(ctx context.Context) (*Session, error) {
-	var out struct {
-		ID  string `json:"id"`
-		TTL int    `json:"ttl_seconds"`
-	}
+	var out SessionInfo
 	if err := c.do(ctx, http.MethodPost, "/v1/sessions", struct{}{}, &out); err != nil {
 		return nil, err
 	}
@@ -208,7 +252,6 @@ func (s *Session) Run(ctx context.Context, name string, req QueryRequest) (*Resu
 	if err := s.c.do(ctx, http.MethodPost, s.path(name), req, &out); err != nil {
 		return nil, err
 	}
-	out.normalize()
 	return &out, nil
 }
 
@@ -218,7 +261,6 @@ func (s *Session) Result(ctx context.Context, name string) (*Result, error) {
 	if err := s.c.do(ctx, http.MethodGet, s.path(name), nil, &out); err != nil {
 		return nil, err
 	}
-	out.normalize()
 	return &out, nil
 }
 
@@ -228,7 +270,6 @@ func (s *Session) Trace(ctx context.Context, name string, req TraceRequest) (*Re
 	if err := s.c.do(ctx, http.MethodPost, s.path(name)+"/trace", req, &out); err != nil {
 		return nil, err
 	}
-	out.normalize()
 	return &out, nil
 }
 
@@ -266,19 +307,22 @@ func (c *Client) roundTrip(req *http.Request, out any) error {
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode >= 300 {
-		e := &Error{Status: resp.StatusCode, Kind: "internal", Message: string(data), Pos: -1}
-		var body struct {
-			Error struct {
-				Kind    string `json:"kind"`
-				Message string `json:"message"`
-				Pos     *int   `json:"pos"`
-			} `json:"error"`
-		}
-		if json.Unmarshal(data, &body) == nil && body.Error.Kind != "" {
-			e.Kind, e.Message = body.Error.Kind, body.Error.Message
-			if body.Error.Pos != nil {
-				e.Pos = *body.Error.Pos
+	return Decode(resp.StatusCode, data, out)
+}
+
+// Decode decodes one smoked reply; the client and the shard coordinator
+// share it. A status of 300 or more yields an *Error decoded from the
+// uniform error body. Otherwise body decodes into out (nil skips it) with
+// UseNumber, and a *Result is normalized, so int64 values beyond 2^53
+// survive exactly.
+func Decode(status int, body []byte, out any) error {
+	if status >= 300 {
+		e := &Error{Status: status, Kind: "internal", Message: string(body), Pos: -1}
+		var eb ErrorBody
+		if json.Unmarshal(body, &eb) == nil && eb.Error.Kind != "" {
+			e.Kind, e.Message, e.Structured = eb.Error.Kind, eb.Error.Message, true
+			if eb.Error.Pos != nil {
+				e.Pos = *eb.Error.Pos
 			}
 		}
 		return e
@@ -286,9 +330,15 @@ func (c *Client) roundTrip(req *http.Request, out any) error {
 	if out == nil {
 		return nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.UseNumber()
-	return dec.Decode(out)
+	if err := dec.Decode(out); err != nil {
+		return err
+	}
+	if r, ok := out.(*Result); ok {
+		r.normalize()
+	}
+	return nil
 }
 
 // normalize converts row values to their column's Go type: json.Number →

@@ -3,6 +3,7 @@ package shard
 import (
 	"smoke/internal/expr"
 	"smoke/internal/ops"
+	"smoke/internal/plan"
 	"smoke/internal/serr"
 	"smoke/internal/sql"
 )
@@ -29,14 +30,8 @@ type analysis struct {
 	sharded string      // dist=shard table the statement reads ("" for proxy)
 	tbl     *table      // its placement snapshot at analysis time
 	nKeys   int         // outer statement's group-key count
-	keys    []string    // outer statement's group-key columns, in GROUP BY order
 	aggs    []ops.AggFn // outer statement's aggregates in select order
-	// scanOK marks statements whose bound backward traces the engine may
-	// answer with the scan-and-filter rewrite (plan shape: group-by over an
-	// optionally filtered scan of the sharded table); scanPreds are the
-	// statement-side predicates that rewrite folds into the scan.
-	scanOK    bool
-	scanPreds []expr.Expr
+	plan    plan.Node   // the optimized plan over the global relations (nil if it did not lower)
 }
 
 // analyze decides how to execute stmt over the current placement and fences
@@ -57,7 +52,12 @@ type analysis struct {
 //     (key values are whole on every shard; partial aggregates are not).
 //
 // Statements touching no sharded table take routeProxy unchanged.
-func (c *Coordinator) analyze(stmt *sql.Stmt, tables map[string]*table) (*analysis, error) {
+func (c *Coordinator) analyze(stmt *sql.Stmt) (*analysis, error) {
+	// One read lock covers the dist book and the catalog the statement
+	// lowers against, so a concurrent re-ingest cannot half-apply.
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	tables := c.tables
 	shardedRefs := map[string]bool{}
 	collectSharded(stmt, tables, shardedRefs)
 	if len(shardedRefs) == 0 {
@@ -70,54 +70,29 @@ func (c *Coordinator) analyze(stmt *sql.Stmt, tables map[string]*table) (*analys
 	for name := range shardedRefs {
 		sharded = name
 	}
-	if err := checkScatterable(stmt, sharded, tables, true); err != nil {
+	if err := c.checkScatterable(stmt, sharded, tables); err != nil {
 		return nil, err
 	}
 	a := &analysis{route: routeScatter, sharded: sharded, tbl: tables[sharded], nKeys: len(stmt.GroupBy)}
-	for _, k := range stmt.GroupBy {
-		a.keys = append(a.keys, k.Col)
-	}
 	for _, it := range stmt.Items {
 		if it.Agg != nil {
 			a.aggs = append(a.aggs, it.Agg.Fn)
 		}
 	}
-	a.scanPreds, a.scanOK = scanEquivShape(stmt, sharded)
+	a.plan = c.lower(stmt)
 	return a, nil
 }
 
-// scanEquivShape mirrors the optimizer's trace-rewrite precondition
-// (plan.traceScanEquiv) on the AST: the statement's plan is a group-by over
-// an optionally filtered scan of the sharded table — no joins, and any
-// lineage source collapses to a scan itself. It returns the statement-side
-// predicates that fold into the rewritten scan (the inner traced query's
-// WHERE, the lineage seed predicate, the outer WHERE), deepest first. The
-// coordinator uses it to make the eager trace's scan-vs-index decision with
-// GLOBAL seed counts, the way a single node decides with its own.
-func scanEquivShape(stmt *sql.Stmt, sharded string) ([]expr.Expr, bool) {
-	if stmt == nil || len(stmt.Joins) > 0 {
-		return nil, false
+// lower lowers and optimizes stmt against the coordinator's catalog of
+// global relations — the plan a single node runs and retains with its
+// result. Nil means it did not lower; the shards then answer the
+// statement's own error.
+func (c *Coordinator) lower(stmt *sql.Stmt) plan.Node {
+	n, err := sql.Lower(c.db, stmt)
+	if err != nil {
+		return nil
 	}
-	var preds []expr.Expr
-	f := stmt.From
-	switch {
-	case f.Table == sharded:
-	case f.Trace != nil && f.Trace.Backward:
-		inner, ok := scanEquivShape(f.Trace.Sub, sharded)
-		if !ok {
-			return nil, false
-		}
-		preds = append(preds, inner...)
-		if f.Trace.Seed != nil {
-			preds = append(preds, f.Trace.Seed)
-		}
-	default:
-		return nil, false
-	}
-	if stmt.Where != nil {
-		preds = append(preds, stmt.Where)
-	}
-	return preds, true
+	return plan.OptimizeNoTrace(n, plan.Opts{Catalog: c.db.Catalog()})
 }
 
 // collectSharded walks every FROM source of stmt (recursively through
@@ -147,10 +122,10 @@ func collectSharded(stmt *sql.Stmt, tables map[string]*table, out map[string]boo
 	}
 }
 
-// checkScatterable validates one statement level of a scattered plan. outer
-// marks the top-level statement (lineage subs recurse with outer=false; the
-// grouped merge applies only at the top, but the fences apply throughout).
-func checkScatterable(stmt *sql.Stmt, sharded string, tables map[string]*table, outer bool) error {
+// checkScatterable validates one statement level of a scattered plan
+// (lineage subs recurse; the grouped merge applies only at the top, but the
+// fences apply throughout).
+func (c *Coordinator) checkScatterable(stmt *sql.Stmt, sharded string, tables map[string]*table) error {
 	if stmt.Having != nil {
 		return serr.New(serr.Unsupported, "shard: HAVING over a sharded table filters on partial aggregates; not supported")
 	}
@@ -213,15 +188,18 @@ func checkScatterable(stmt *sql.Stmt, sharded string, tables map[string]*table, 
 		if tr.Sub == nil {
 			return serr.New(serr.Internal, "shard: lineage source without a traced query")
 		}
-		if err := checkScatterable(tr.Sub, sharded, tables, false); err != nil {
+		if err := c.checkScatterable(tr.Sub, sharded, tables); err != nil {
 			return err
 		}
-		if _, ok := scanEquivShape(tr.Sub, sharded); !ok {
-			// A non-collapsible lineage source (the traced query joins) expands
-			// per seed over each shard's LOCAL group order — a row order no
-			// merge can map back to the single node's global expansion.
-			return serr.New(serr.Unsupported,
-				"shard: LINEAGE BACKWARD under sharding requires a single-table traced query (the scan-collapsible shape); traced joins expand in per-shard order")
+		// The engine's trace-rewrite test: a lineage source that does not
+		// collapse to one filtered scan (the traced query joins) expands per
+		// seed over each shard's LOCAL group order — a row order no merge can
+		// map back to the single node's global expansion.
+		if sub := c.lower(tr.Sub); sub != nil {
+			if _, ok := plan.TraceScanEquiv(plan.Backward{Source: sub, Table: tr.Table, Rel: tables[sharded].rel}); !ok {
+				return serr.New(serr.Unsupported,
+					"shard: LINEAGE BACKWARD under sharding requires a single-table traced query (the scan-collapsible shape); traced joins expand in per-shard order")
+			}
 		}
 		if tr.Seed != nil {
 			if err := seedReadsKeysOnly(tr.Seed, tr.Sub); err != nil {

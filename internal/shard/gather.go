@@ -3,6 +3,7 @@ package shard
 import (
 	"smoke/internal/ops"
 	"smoke/internal/serr"
+	"smoke/internal/serverclient"
 )
 
 // gatherMap remembers how a merged grouped result relates to its per-shard
@@ -43,7 +44,7 @@ type aggState struct {
 // (the group_counts the shard replies carry). The merged reply carries the
 // summed group_counts, so a retained merged result supports consuming traces
 // the same way a single node's does.
-func mergeGrouped(parts []*wireResult, nKeys int, aggs []ops.AggFn) (*wireResult, *gatherMap, error) {
+func mergeGrouped(parts []*serverclient.Result, nKeys int, aggs []ops.AggFn) (*serverclient.Result, *gatherMap, error) {
 	if len(parts) == 0 {
 		return nil, nil, serr.New(serr.Internal, "shard: merge of zero partials")
 	}
@@ -139,7 +140,7 @@ func mergeGrouped(parts []*wireResult, nKeys int, aggs []ops.AggFn) (*wireResult
 		}
 	}
 
-	out := &wireResult{
+	out := &serverclient.Result{
 		Columns:     first.Columns,
 		Types:       first.Types,
 		Rows:        make([][]any, len(keys)),
@@ -181,6 +182,6 @@ func mergeGrouped(parts []*wireResult, nKeys int, aggs []ops.AggFn) (*wireResult
 
 // emptyLike builds a zero-row result with a partial's schema (empty trace
 // waves gather into this instead of a nil reply).
-func emptyLike(p *wireResult) *wireResult {
-	return &wireResult{Columns: p.Columns, Types: p.Types, Rows: [][]any{}, N: 0}
+func emptyLike(p *serverclient.Result) *serverclient.Result {
+	return &serverclient.Result{Columns: p.Columns, Types: p.Types, Rows: [][]any{}, N: 0}
 }

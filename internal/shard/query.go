@@ -7,17 +7,10 @@ import (
 	"strings"
 
 	"smoke/internal/serr"
+	"smoke/internal/server"
+	"smoke/internal/serverclient"
 	"smoke/internal/sql"
 )
-
-// queryBody is the slice of the query request the coordinator itself needs
-// (the raw body is forwarded to the shards byte-for-byte, so fields the
-// coordinator does not read still reach them unchanged).
-type queryBody struct {
-	SQL      string `json:"sql"`
-	Capture  string `json:"capture"`
-	Strategy string `json:"strategy"`
-}
 
 // resolvedStrategy mirrors core.resolveStrategy's label for a query request:
 // an explicit strategy wins, otherwise capture "none" resolves lazy and every
@@ -63,7 +56,7 @@ func (c *Coordinator) planQuery(sqlText string) (*analysis, error) {
 		// (over a sharded table the plan is the shard-local slice's).
 		return &analysis{route: routeProxy}, nil
 	}
-	return c.analyze(st, c.snapshotTables())
+	return c.analyze(st)
 }
 
 // handleQuery is stateless execution: proxy when every input is replicated
@@ -73,22 +66,22 @@ func (c *Coordinator) planQuery(sqlText string) (*analysis, error) {
 func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
-	var req queryBody
-	if jerr := unmarshalNumber(body, &req); jerr != nil {
-		writeError(w, serr.New(serr.Invalid, "server: bad request body: %v", jerr))
+	var req serverclient.QueryRequest
+	if err := decodeRequest(body, &req); err != nil {
+		server.WriteError(w, err)
 		return
 	}
 	if err := c.enter(); err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	defer c.exit()
 	a, err := c.planQuery(req.SQL)
 	if err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	if a.route == routeProxy {
@@ -98,7 +91,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		res, err := c.nodes[c.ring.owner(req.SQL)].invoke(ctx, http.MethodPost, "/v1/query", body, "application/json")
 		if err != nil {
 			c.shardTimeouts.Add(1)
-			writeError(w, err)
+			server.WriteError(w, err)
 			return
 		}
 		writeShardReply(w, res)
@@ -109,12 +102,12 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return http.MethodPost, "/v1/query", body
 	})
 	if err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	merged, _, err := mergeGrouped(parts, a.nKeys, a.aggs)
 	if err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	// Cached is per-node observability; a merged reply is "cached" only when
@@ -127,7 +120,7 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	c.mergedQueries.Add(1)
-	writeJSON(w, http.StatusOK, merged)
+	server.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleRunResult executes and retains a named result. Proxy-routed
@@ -138,27 +131,27 @@ func (c *Coordinator) handleRunResult(w http.ResponseWriter, r *http.Request) {
 	id, name := r.PathValue("id"), r.PathValue("name")
 	sess, err := c.lookupSession(id)
 	if err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
-	var req queryBody
-	if jerr := unmarshalNumber(body, &req); jerr != nil {
-		writeError(w, serr.New(serr.Invalid, "server: bad request body: %v", jerr))
+	var req serverclient.QueryRequest
+	if err := decodeRequest(body, &req); err != nil {
+		server.WriteError(w, err)
 		return
 	}
 	if err := c.enter(); err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	defer c.exit()
 	a, err := c.planQuery(req.SQL)
 	if err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	if a.route == routeProxy {
@@ -169,7 +162,7 @@ func (c *Coordinator) handleRunResult(w http.ResponseWriter, r *http.Request) {
 		res, err := c.nodes[sess.home].invoke(ctx, http.MethodPost, path, body, "application/json")
 		if err != nil {
 			c.shardTimeouts.Add(1)
-			writeError(w, err)
+			server.WriteError(w, err)
 			return
 		}
 		if res.ok() {
@@ -183,12 +176,12 @@ func (c *Coordinator) handleRunResult(w http.ResponseWriter, r *http.Request) {
 		return http.MethodPost, "/v1/sessions/" + sess.shardIDs[s] + "/results/" + name, body
 	})
 	if err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	merged, gm, err := mergeGrouped(parts, a.nKeys, a.aggs)
 	if err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	c.mergedQueries.Add(1)
@@ -199,13 +192,11 @@ func (c *Coordinator) handleRunResult(w http.ResponseWriter, r *http.Request) {
 		merged:    merged,
 		gm:        gm,
 		tbl:       a.tbl,
-		keys:      a.keys,
-		scanPreds: a.scanPreds,
-		scanOK:    a.scanOK,
+		plan:      a.plan,
 		strategy:  resolvedStrategy(req.Capture, req.Strategy),
 	})
 	merged.Retained = name
-	writeJSON(w, http.StatusOK, merged)
+	server.WriteJSON(w, http.StatusOK, merged)
 }
 
 // handleGetResult re-renders a retained result. Scattered results render
@@ -215,17 +206,17 @@ func (c *Coordinator) handleGetResult(w http.ResponseWriter, r *http.Request) {
 	id, name := r.PathValue("id"), r.PathValue("name")
 	sess, err := c.lookupSession(id)
 	if err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	if err := c.enter(); err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	defer c.exit()
 	p := sess.placementOf(name)
 	if p != nil && p.scattered {
-		writeJSON(w, http.StatusOK, &wireResult{
+		server.WriteJSON(w, http.StatusOK, &serverclient.Result{
 			Columns: p.merged.Columns,
 			Types:   p.merged.Types,
 			Rows:    p.merged.Rows,
@@ -239,7 +230,7 @@ func (c *Coordinator) handleGetResult(w http.ResponseWriter, r *http.Request) {
 	res, err := c.nodes[sess.home].invoke(ctx, http.MethodGet, path, nil, "")
 	if err != nil {
 		c.shardTimeouts.Add(1)
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	writeShardReply(w, res)

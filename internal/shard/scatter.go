@@ -11,6 +11,7 @@ import (
 	"smoke/internal/core"
 	"smoke/internal/serr"
 	"smoke/internal/server"
+	"smoke/internal/serverclient"
 )
 
 // node is one in-process shard: a full engine (its own DB, worker pool,
@@ -101,7 +102,7 @@ func (n *node) invoke(ctx context.Context, method, path string, body []byte, con
 
 // callJSON invokes a shard and decodes a 2xx reply as a result body. Non-2xx
 // replies come back as the shard's own structured error.
-func (c *Coordinator) callJSON(ctx context.Context, n *node, method, path string, body []byte) (*wireResult, error) {
+func (c *Coordinator) callJSON(ctx context.Context, n *node, method, path string, body []byte) (*serverclient.Result, error) {
 	res, err := n.invoke(ctx, method, path, body, "application/json")
 	if err != nil {
 		c.shardTimeouts.Add(1)
@@ -109,9 +110,12 @@ func (c *Coordinator) callJSON(ctx context.Context, n *node, method, path string
 	}
 	if !res.ok() {
 		c.shardErrors.Add(1)
-		return nil, errorFromShard(n.id, res.status, res.body)
 	}
-	return decodeResult(res.body)
+	var out serverclient.Result
+	if err := decodeReply(n.id, res, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
 // scatter fans one request wave out to the given shards concurrently and
@@ -119,12 +123,12 @@ func (c *Coordinator) callJSON(ctx context.Context, n *node, method, path string
 // deadline; the first shard failure (down, timed out, or answering an error
 // status) cancels the remaining calls and surfaces as the wave's error, so a
 // half-answered wave never yields a silently partial gather.
-func (c *Coordinator) scatter(ctx context.Context, shards []int, build func(shard int) (method, path string, body []byte)) ([]*wireResult, error) {
+func (c *Coordinator) scatter(ctx context.Context, shards []int, build func(shard int) (method, path string, body []byte)) ([]*serverclient.Result, error) {
 	c.scatters.Add(1)
 	wctx, cancel := context.WithTimeout(ctx, c.timeout)
 	defer cancel()
 
-	results := make([]*wireResult, len(shards))
+	results := make([]*serverclient.Result, len(shards))
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
 	for i, s := range shards {

@@ -2,13 +2,14 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
 
-	"smoke/internal/expr"
+	"smoke/internal/plan"
 	"smoke/internal/serr"
+	"smoke/internal/server"
+	"smoke/internal/serverclient"
 )
 
 // session is the coordinator's view of one client session. The shards hold
@@ -37,7 +38,7 @@ type placement struct {
 	// gather map translating global slots ↔ per-shard partial rows.
 	table  string
 	nKeys  int
-	merged *wireResult
+	merged *serverclient.Result
 	gm     *gatherMap
 	// tbl snapshots the sharded table AS OF the run — the capture-time
 	// relation and rid-range starts. Traces translate seeds against this
@@ -45,16 +46,13 @@ type placement struct {
 	// reads the relation instance the result was captured against even after
 	// the table is re-ingested.
 	tbl *table
-	// Scan-decision mirror: the outer group-key columns, the statement-side
-	// predicates a scan rewrite folds in (analysis.scanPreds), whether the
-	// plan shape admits that rewrite at all, and the resolved capture
-	// strategy ("eager", "lazy", "hybrid", or "auto"). Together these let
-	// the coordinator take the engine's scan-vs-index trace decision with
-	// global seed counts.
-	keys      []string
-	scanPreds []expr.Expr
-	scanOK    bool
-	strategy  string
+	// plan is the statement's optimized plan over the global relations (nil
+	// when it did not lower), the plan a single node's result carries: the
+	// engine's trace-rewrite test reads it to decide whether a backward trace
+	// collapses to a scan. strategy is the resolved capture strategy
+	// ("eager", "lazy", "hybrid", or "auto") that picks the trace path.
+	plan     plan.Node
+	strategy string
 }
 
 func (s *session) setPlacement(name string, p *placement) {
@@ -75,7 +73,7 @@ func (s *session) placementOf(name string) *placement {
 // setup.
 func (c *Coordinator) handleNewSession(w http.ResponseWriter, r *http.Request) {
 	if err := c.enter(); err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	defer c.exit()
@@ -83,11 +81,7 @@ func (c *Coordinator) handleNewSession(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), c.timeout)
 	defer cancel()
-	type created struct {
-		id  string
-		ttl int
-	}
-	replies := make([]*created, len(c.nodes))
+	replies := make([]serverclient.SessionInfo, len(c.nodes))
 	errs := make([]error, len(c.nodes))
 	var wg sync.WaitGroup
 	for i, n := range c.nodes {
@@ -100,25 +94,13 @@ func (c *Coordinator) handleNewSession(w http.ResponseWriter, r *http.Request) {
 				errs[i] = err
 				return
 			}
-			if !res.ok() {
-				errs[i] = errorFromShard(n.id, res.status, res.body)
-				return
-			}
-			var body struct {
-				ID  string `json:"id"`
-				TTL int    `json:"ttl_seconds"`
-			}
-			if err := json.Unmarshal(res.body, &body); err != nil {
-				errs[i] = serr.New(serr.Internal, "shard: shard %d session reply: %v", n.id, err)
-				return
-			}
-			replies[i] = &created{id: body.ID, ttl: body.TTL}
+			errs[i] = decodeReply(n.id, res, &replies[i])
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			writeError(w, err)
+			server.WriteError(w, err)
 			return
 		}
 	}
@@ -131,15 +113,12 @@ func (c *Coordinator) handleNewSession(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.shardIDs = make([]string, len(c.nodes))
 	for i, rep := range replies {
-		sess.shardIDs[i] = rep.id
+		sess.shardIDs[i] = rep.ID
 	}
 	c.mu.Lock()
 	c.sessions[id] = sess
 	c.mu.Unlock()
-	writeJSON(w, http.StatusCreated, map[string]any{
-		"id":          id,
-		"ttl_seconds": replies[0].ttl,
-	})
+	server.WriteJSON(w, http.StatusCreated, serverclient.SessionInfo{ID: id, TTL: replies[0].TTL})
 }
 
 // lookupSession resolves a coordinator session id.
@@ -178,7 +157,7 @@ func (c *Coordinator) handleDropSession(w http.ResponseWriter, r *http.Request) 
 	}
 	c.mu.Unlock()
 	if !ok {
-		writeError(w, c.missingSessionErr(id))
+		server.WriteError(w, c.missingSessionErr(id))
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), c.timeout)
@@ -196,14 +175,14 @@ func (c *Coordinator) handleDropSession(w http.ResponseWriter, r *http.Request) 
 				return
 			}
 			if !res.ok() && res.status != http.StatusNotFound {
-				errs[i] = errorFromShard(n.id, res.status, res.body)
+				errs[i] = decodeReply(n.id, res, nil)
 			}
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			writeError(w, err)
+			server.WriteError(w, err)
 			return
 		}
 	}

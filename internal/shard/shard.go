@@ -47,6 +47,7 @@ import (
 	"smoke/internal/core"
 	"smoke/internal/serr"
 	"smoke/internal/server"
+	"smoke/internal/serverclient"
 	"smoke/internal/storage"
 )
 
@@ -68,7 +69,12 @@ type Config struct {
 
 // Coordinator implements http.Handler over N shard nodes.
 type Coordinator struct {
-	nodes   []*node
+	nodes []*node
+	// db is the coordinator-side catalog: every ingested table's GLOBAL
+	// relation, registered without copying (shard slices alias the same
+	// column arrays). Scattered statements lower against it to the plan a
+	// single node would run, and scan-path traces run on it.
+	db      *core.DB
 	ring    *ring
 	timeout time.Duration
 	gate    chan struct{}
@@ -130,6 +136,7 @@ func New(cfg Config) *Coordinator {
 		cfg.MaxInFlight = 4 * runtime.GOMAXPROCS(0)
 	}
 	c := &Coordinator{
+		db:       core.Open(),
 		ring:     newRing(cfg.Shards),
 		timeout:  cfg.ShardTimeout,
 		gate:     make(chan struct{}, cfg.MaxInFlight),
@@ -166,6 +173,7 @@ func (c *Coordinator) Close() error {
 		}
 		n.db.Close()
 	}
+	c.db.Close()
 	return first
 }
 
@@ -204,7 +212,7 @@ func (c *Coordinator) routes() {
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			writeError(w, serr.New(serr.Internal, "shard: internal panic: %v", rec))
+			server.WriteError(w, serr.New(serr.Internal, "shard: internal panic: %v", rec))
 		}
 	}()
 	c.mux.ServeHTTP(w, r)
@@ -224,48 +232,6 @@ func (c *Coordinator) enter() error {
 }
 
 func (c *Coordinator) exit() { <-c.gate }
-
-type errorJSON struct {
-	Error struct {
-		Kind    string `json:"kind"`
-		Message string `json:"message"`
-		Pos     *int   `json:"pos,omitempty"`
-	} `json:"error"`
-}
-
-func statusOf(err error) int {
-	switch serr.KindOf(err) {
-	case serr.Invalid:
-		return http.StatusBadRequest
-	case serr.NotFound:
-		return http.StatusNotFound
-	case serr.Gone:
-		return http.StatusGone
-	case serr.Unsupported:
-		return http.StatusUnprocessableEntity
-	case serr.Busy:
-		return http.StatusTooManyRequests
-	case serr.Unavailable:
-		return http.StatusServiceUnavailable
-	}
-	return http.StatusInternalServerError
-}
-
-func writeError(w http.ResponseWriter, err error) {
-	var body errorJSON
-	body.Error.Kind = serr.KindOf(err).String()
-	body.Error.Message = err.Error()
-	if pos := serr.PosOf(err); pos >= 0 {
-		body.Error.Pos = &pos
-	}
-	writeJSON(w, statusOf(err), body)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
 
 // writeShardReply forwards a shard's reply verbatim (proxy paths).
 func writeShardReply(w http.ResponseWriter, res *callResult) {
@@ -334,27 +300,23 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	body["per_shard"] = perShard
-	writeJSON(w, http.StatusOK, body)
+	server.WriteJSON(w, http.StatusOK, body)
 }
 
 func (c *Coordinator) handleListTables(w http.ResponseWriter, r *http.Request) {
 	type tbl struct {
-		Name   string           `json:"name"`
-		Rows   int              `json:"rows"`
-		Dist   string           `json:"dist"`
-		Schema []map[string]any `json:"schema"`
+		Name   string               `json:"name"`
+		Rows   int                  `json:"rows"`
+		Dist   string               `json:"dist"`
+		Schema []serverclient.Field `json:"schema"`
 	}
 	c.mu.RLock()
 	var out []tbl
 	for name, t := range c.tables {
-		entry := tbl{Name: name, Rows: t.rel.N, Dist: t.dist}
-		for _, f := range t.rel.Schema {
-			entry.Schema = append(entry.Schema, map[string]any{"name": f.Name, "type": typeName(f.Type)})
-		}
-		out = append(out, entry)
+		out = append(out, tbl{Name: name, Rows: t.rel.N, Dist: t.dist, Schema: server.Schema(t.rel)})
 	}
 	c.mu.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{"tables": out})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"tables": out})
 }
 
 func (c *Coordinator) handleGetTable(w http.ResponseWriter, r *http.Request) {
@@ -363,26 +325,10 @@ func (c *Coordinator) handleGetTable(w http.ResponseWriter, r *http.Request) {
 	t, ok := c.tables[name]
 	c.mu.RUnlock()
 	if !ok {
-		writeError(w, serr.New(serr.NotFound, "shard: unknown table %q", name))
+		server.WriteError(w, serr.New(serr.NotFound, "shard: unknown table %q", name))
 		return
 	}
-	var schema []map[string]any
-	for _, f := range t.rel.Schema {
-		schema = append(schema, map[string]any{"name": f.Name, "type": typeName(f.Type)})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"name": name, "rows": t.rel.N, "dist": t.dist, "schema": schema})
-}
-
-func typeName(t storage.Type) string {
-	switch t {
-	case storage.TInt:
-		return "int"
-	case storage.TFloat:
-		return "float"
-	case storage.TString:
-		return "string"
-	}
-	return "?"
+	server.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "rows": t.rel.N, "dist": t.dist, "schema": server.Schema(t.rel)})
 }
 
 // splitStarts computes the rid-range boundaries of an n-row table over the
@@ -411,7 +357,7 @@ func splitStarts(n, shards int) []int {
 func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if name == "" {
-		writeError(w, serr.New(serr.Invalid, "shard: table name is empty"))
+		server.WriteError(w, serr.New(serr.Invalid, "shard: table name is empty"))
 		return
 	}
 	dist := strings.ToLower(r.URL.Query().Get("dist"))
@@ -420,7 +366,7 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 		dist = "replicate"
 	case "shard", "replicate":
 	default:
-		writeError(w, serr.New(serr.Invalid, "shard: unknown dist %q (want shard or replicate)", dist))
+		server.WriteError(w, serr.New(serr.Invalid, "shard: unknown dist %q (want shard or replicate)", dist))
 		return
 	}
 	pk := r.URL.Query().Get("pk")
@@ -434,7 +380,7 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	} else {
 		body, rerr := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 		if rerr != nil {
-			writeError(w, serr.New(serr.Invalid, "shard: read body: %v", rerr))
+			server.WriteError(w, serr.New(serr.Invalid, "shard: read body: %v", rerr))
 			return
 		}
 		var bodyPK string
@@ -444,12 +390,12 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	if pk != "" {
 		if err := server.VerifyPK(rel, pk); err != nil {
-			writeError(w, err)
+			server.WriteError(w, err)
 			return
 		}
 	}
@@ -470,8 +416,12 @@ func (c *Coordinator) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	c.tables[name] = t
+	c.db.Register(rel)
+	if pk != "" {
+		c.db.Catalog().SetPrimaryKey(name, pk)
+	}
 	c.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"name": name, "rows": rel.N})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"name": name, "rows": rel.N})
 }
 
 // allShards returns [0, 1, ..., n-1].
@@ -479,18 +429,6 @@ func (c *Coordinator) allShards() []int {
 	out := make([]int, len(c.nodes))
 	for i := range out {
 		out[i] = i
-	}
-	return out
-}
-
-// snapshotTables returns the dist book the analyzer reads (a consistent
-// snapshot: re-ingests during analysis cannot half-apply).
-func (c *Coordinator) snapshotTables() map[string]*table {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make(map[string]*table, len(c.tables))
-	for k, v := range c.tables {
-		out[k] = v
 	}
 	return out
 }

@@ -3,62 +3,20 @@ package shard
 import (
 	"context"
 	"encoding/json"
-	"math"
 	"net/http"
-	"sort"
-	"strconv"
 	"strings"
 
+	"smoke/internal/core"
+	"smoke/internal/exec"
 	"smoke/internal/expr"
+	"smoke/internal/lineage"
 	"smoke/internal/ops"
+	"smoke/internal/plan"
 	"smoke/internal/serr"
+	"smoke/internal/server"
+	"smoke/internal/serverclient"
 	"smoke/internal/sql"
-	"smoke/internal/storage"
 )
-
-// traceBody mirrors the single-node trace request. Rids carries no omitempty
-// on purpose: nil means "trace everything" while a present-but-empty list is
-// an explicit zero-seed trace, and the outbound per-shard requests must keep
-// that distinction when they re-encode (omitempty would silently turn an
-// empty seed list into a trace-all).
-type traceBody struct {
-	Direction string         `json:"direction"`
-	Table     string         `json:"table"`
-	Rids      []int64        `json:"rids"`
-	SeedWhere string         `json:"seed_where,omitempty"`
-	Where     string         `json:"where,omitempty"`
-	GroupBy   []string       `json:"group_by,omitempty"`
-	Aggs      []aggJSON      `json:"aggs,omitempty"`
-	Capture   string         `json:"capture,omitempty"`
-	Compress  bool           `json:"compress,omitempty"`
-	Params    map[string]any `json:"params,omitempty"`
-	Retain    string         `json:"retain,omitempty"`
-	Strategy  string         `json:"strategy,omitempty"`
-}
-
-type aggJSON struct {
-	Fn   string `json:"fn"`
-	Arg  string `json:"arg,omitempty"`
-	Name string `json:"name,omitempty"`
-}
-
-func parseAggFn(s string) (ops.AggFn, error) {
-	switch strings.ToLower(s) {
-	case "count":
-		return ops.Count, nil
-	case "sum":
-		return ops.Sum, nil
-	case "avg":
-		return ops.Avg, nil
-	case "min":
-		return ops.Min, nil
-	case "max":
-		return ops.Max, nil
-	case "count_distinct":
-		return ops.CountDistinct, nil
-	}
-	return 0, serr.New(serr.Invalid, "server: unknown aggregate %q", s)
-}
 
 // handleTrace runs a bound trace against a retained result. Results retained
 // whole on the session's home shard (and every result in a single-shard
@@ -72,21 +30,21 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id, name := r.PathValue("id"), r.PathValue("name")
 	sess, err := c.lookupSession(id)
 	if err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
-	var req traceBody
-	if jerr := unmarshalNumber(body, &req); jerr != nil {
-		writeError(w, serr.New(serr.Invalid, "server: bad request body: %v", jerr))
+	var req serverclient.TraceRequest
+	if err := decodeRequest(body, &req); err != nil {
+		server.WriteError(w, err)
 		return
 	}
 	if err := c.enter(); err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	defer c.exit()
@@ -103,7 +61,7 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 		res, err := c.nodes[sess.home].invoke(ctx, http.MethodPost, path, body, "application/json")
 		if err != nil {
 			c.shardTimeouts.Add(1)
-			writeError(w, err)
+			server.WriteError(w, err)
 			return
 		}
 		writeShardReply(w, res)
@@ -112,16 +70,16 @@ func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 
 	out, err := c.runScatteredTrace(r.Context(), sess, name, p, req)
 	if err != nil {
-		writeError(w, err)
+		server.WriteError(w, err)
 		return
 	}
 	c.mergedTraces.Add(1)
-	writeJSON(w, http.StatusOK, out)
+	server.WriteJSON(w, http.StatusOK, out)
 }
 
 // runScatteredTrace validates, routes, and gathers a trace against a
 // scattered placement.
-func (c *Coordinator) runScatteredTrace(ctx context.Context, sess *session, name string, p *placement, req traceBody) (*wireResult, error) {
+func (c *Coordinator) runScatteredTrace(ctx context.Context, sess *session, name string, p *placement, req serverclient.TraceRequest) (*serverclient.Result, error) {
 	backward := false
 	switch strings.ToLower(req.Direction) {
 	case "backward":
@@ -149,7 +107,7 @@ func (c *Coordinator) runScatteredTrace(ctx context.Context, sess *session, name
 			"shard: retaining a trace of a scattered result is not supported; re-run the consuming query as a retained base query")
 	}
 	for _, a := range req.Aggs {
-		fn, err := parseAggFn(a.Fn)
+		fn, err := server.ParseAggFn(a.Fn)
 		if err != nil {
 			return nil, err
 		}
@@ -157,7 +115,7 @@ func (c *Coordinator) runScatteredTrace(ctx context.Context, sess *session, name
 			return nil, serr.New(serr.Unsupported, "shard: COUNT(DISTINCT) does not decompose across shards; not supported")
 		}
 	}
-	params, err := paramsOf(req.Params)
+	params, err := server.ParamsFromJSON(req.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -171,17 +129,17 @@ func (c *Coordinator) runScatteredTrace(ctx context.Context, sess *session, name
 // seed order: explicit rids validated against the merged output's row count,
 // a seed predicate evaluated over the merged output (slot order), or — with
 // neither — every slot (the zero-seed "trace everything" expansion the
-// engine itself uses). The parsed seed predicate is returned alongside so
-// the scan-decision mirror can inspect its columns without re-parsing.
-func (p *placement) seedSlots(req traceBody, params expr.Params) ([]int, expr.Expr, error) {
+// engine itself uses). The parsed seed predicate is returned alongside for
+// the engine's scan-equivalence test.
+func (p *placement) seedSlots(req serverclient.TraceRequest, params expr.Params) ([]lineage.Rid, expr.Expr, error) {
 	if req.Rids != nil {
-		slots := make([]int, len(req.Rids))
+		slots := make([]lineage.Rid, len(req.Rids))
 		for i, v := range req.Rids {
 			if v < 0 || v >= int64(p.merged.N) {
 				return nil, nil, serr.New(serr.Invalid,
 					"server: seed rid %d out of range [0,%d) for result output rows", v, p.merged.N)
 			}
-			slots[i] = int(v)
+			slots[i] = lineage.Rid(v)
 		}
 		return slots, nil, nil
 	}
@@ -190,7 +148,7 @@ func (p *placement) seedSlots(req traceBody, params expr.Params) ([]int, expr.Ex
 		if err != nil {
 			return nil, nil, err
 		}
-		rel, err := relationOf("merged", p.merged.Columns, p.merged.Types, p.merged.Rows)
+		rel, err := server.ResultRelation("merged", p.merged)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -198,20 +156,17 @@ func (p *placement) seedSlots(req traceBody, params expr.Params) ([]int, expr.Ex
 		if err != nil {
 			return nil, nil, serr.New(serr.Invalid, "server: trace seed predicate: %v", err)
 		}
-		var slots []int
+		slots := []lineage.Rid{}
 		for i := 0; i < rel.N; i++ {
 			if cp(int32(i)) {
-				slots = append(slots, i)
+				slots = append(slots, lineage.Rid(i))
 			}
-		}
-		if slots == nil {
-			slots = []int{}
 		}
 		return slots, pred, nil
 	}
-	all := make([]int, p.merged.N)
+	all := make([]lineage.Rid, p.merged.N)
 	for i := range all {
-		all[i] = i
+		all[i] = lineage.Rid(i)
 	}
 	return all, nil, nil
 }
@@ -221,15 +176,26 @@ func (p *placement) seedSlots(req traceBody, params expr.Params) ([]int, expr.Ex
 // re-execution, scan-collapsible). A per-trace strategy forces it; otherwise
 // the placement's resolved capture strategy routes — hybrid captures the
 // backward direction eagerly. "" means unknowable: the placement ran under
-// strategy auto, whose resolution reads per-node runtime counters.
-func (p *placement) backwardPath(reqStrategy string) string {
-	switch strings.ToLower(reqStrategy) {
-	case "eager":
-		return "eager"
-	case "lazy":
-		return "lazy"
+// strategy auto, whose resolution reads per-node runtime counters. The
+// per-trace strategy parses and validates as the server's does.
+func (p *placement) backwardPath(reqStrategy string) (string, error) {
+	forced, err := core.ParseStrategy(reqStrategy)
+	if err == nil {
+		forced, err = core.TracePath(forced)
 	}
-	switch p.strategy {
+	if err != nil {
+		return "", err
+	}
+	if forced != core.StrategyDefault {
+		return forced.String(), nil
+	}
+	return tracePathOf(p.strategy), nil
+}
+
+// tracePathOf maps a resolved capture strategy to its backward trace path;
+// "" for auto.
+func tracePathOf(strategy string) string {
+	switch strategy {
 	case "lazy":
 		return "lazy"
 	case "eager", "hybrid":
@@ -238,48 +204,15 @@ func (p *placement) backwardPath(reqStrategy string) string {
 	return ""
 }
 
-// seedPredOnKeys mirrors the optimizer's seed-predicate precondition for the
-// scan rewrite: every column the predicate reads must be a group key of the
-// traced query AND a column of the traced base relation.
-func (p *placement) seedPredOnKeys(seedPred expr.Expr) bool {
-	if seedPred == nil {
-		return true
-	}
-	for _, col := range expr.Columns(seedPred) {
-		if !containsStr(p.keys, col) || p.tbl.rel.Schema.Col(col) < 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func containsStr(xs []string, s string) bool {
-	for _, x := range xs {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
 // shardTraceBody renders the per-shard request: same trace, shard-local
-// seeds. marshal cannot fail on these field types.
-func shardTraceBody(req traceBody, rids []int64, keepWhere bool) []byte {
-	out := traceBody{
-		Direction: req.Direction,
-		Table:     req.Table,
-		Rids:      rids,
-		GroupBy:   req.GroupBy,
-		Aggs:      req.Aggs,
-		Capture:   req.Capture,
-		Compress:  req.Compress,
-		Params:    req.Params,
-		Strategy:  req.Strategy,
+// seeds (the seed predicate was already resolved globally). marshal cannot
+// fail on these field types.
+func shardTraceBody(req serverclient.TraceRequest, rids []int64, keepWhere bool) []byte {
+	req.Rids, req.SeedWhere, req.Retain = rids, "", ""
+	if !keepWhere {
+		req.Where = ""
 	}
-	if keepWhere {
-		out.Where = req.Where
-	}
-	b, _ := json.Marshal(out)
+	b, _ := json.Marshal(req)
 	return b
 }
 
@@ -291,7 +224,7 @@ func (sess *session) tracePath(shard int, name string) string {
 // emptyTrace answers a zero-seed trace by asking one shard for its (empty)
 // result — the cheapest way to produce the exactly-right output schema for
 // every trace shape without re-deriving it coordinator-side.
-func (c *Coordinator) emptyTrace(ctx context.Context, sess *session, name string, req traceBody, keepWhere bool) (*wireResult, error) {
+func (c *Coordinator) emptyTrace(ctx context.Context, sess *session, name string, req serverclient.TraceRequest, keepWhere bool) (*serverclient.Result, error) {
 	parts, err := c.scatter(ctx, []int{0}, func(int) (string, string, []byte) {
 		return http.MethodPost, sess.tracePath(0, name), shardTraceBody(req, []int64{}, keepWhere)
 	})
@@ -301,33 +234,33 @@ func (c *Coordinator) emptyTrace(ctx context.Context, sess *session, name string
 	return emptyLike(parts[0]), nil
 }
 
-// backwardScattered gathers a backward trace. It first mirrors the engine's
-// own path decision — made per node by exec.backwardRids with LOCAL numbers —
-// using GLOBAL ones:
+// backwardScattered gathers a backward trace. It takes the engine's own
+// path decision — made per node by exec.backwardRids with LOCAL numbers —
+// with GLOBAL ones:
 //
 //   - the per-seed index path expands every seed's captured rid list in seed
 //     order. Coordinator equivalent: one scatter wave per seed to the shards
 //     whose partial contributed to the seed's merged group, cells
 //     concatenated seed-major shard-minor (shard slices are rid-contiguous
 //     in shard order, so that IS the single node's capture append order).
-//   - the scan path — taken when the plan shape collapses (placement.scanOK)
-//     and the seeds cover at least half the output (eager), or always on the
-//     lazy path — answers with one filtered scan of the base table in rid
-//     order. Coordinator equivalent: evaluate the folded predicate over the
-//     global base relation it already holds, no shard round-trip at all.
+//   - the scan path — taken when the trace collapses to a filtered scan
+//     (plan.TraceScanEquiv over the placement's plan) and the seeds cover
+//     the share exec.PreferScan asks for (eager), or always on the lazy
+//     path — answers with one filtered scan of the base table in rid order.
+//     Coordinator equivalent: run that trace through the engine over the
+//     global relation it already holds, no shard round-trip at all.
 //
-// Consuming traces (group_by + aggs) fold per-seed cells through the
-// two-phase grouped merge; when the single node would have scanned, the
-// merged groups are re-ranked into scan discovery order (merge values are
-// order-insensitive, first-appearance order is not).
-func (c *Coordinator) backwardScattered(ctx context.Context, sess *session, name string, p *placement, req traceBody, params expr.Params) (*wireResult, error) {
-	// Join placements (!scanOK) always take the per-seed path, and it is
-	// order-exact for them: the analyzer admits joins only with the sharded
-	// table as the probe side, so each group's captured lineage list is its
-	// probe rows in slice rid order — shard-minor concatenation IS the single
-	// node's capture order. No scan rewrite exists for the join shape on a
-	// single node either, which also makes the path strategy-independent
-	// (auto included).
+// Consuming traces (group_by + aggs) on the per-seed path fold the cells
+// through the two-phase grouped merge; on the scan path the engine
+// aggregates the scanned rows itself.
+func (c *Coordinator) backwardScattered(ctx context.Context, sess *session, name string, p *placement, req serverclient.TraceRequest, params expr.Params) (*serverclient.Result, error) {
+	// Join placements never collapse to a scan and always take the per-seed
+	// path, which is order-exact for them: the analyzer admits joins only
+	// with the sharded table as the probe side, so each group's captured
+	// lineage list is its probe rows in slice rid order — shard-minor
+	// concatenation IS the single node's capture order. No scan rewrite
+	// exists for the join shape on a single node either, which also makes
+	// the path strategy-independent (auto included).
 	slots, seedPred, err := p.seedSlots(req, params)
 	if err != nil {
 		return nil, err
@@ -336,26 +269,31 @@ func (c *Coordinator) backwardScattered(ctx context.Context, sess *session, name
 		return c.emptyTrace(ctx, sess, name, req, true)
 	}
 
-	// Scan-vs-index mirror. With a single seed the two paths are
-	// row-identical (one group's captured list is its rows in rid order), so
-	// only multi-seed traces need the decision — which keeps single-seed
-	// crossfilter interactions on the cheap per-seed path under every
-	// strategy, including auto.
-	useScan, path := false, ""
-	if p.scanOK && req.Rids == nil && p.seedPredOnKeys(seedPred) && len(slots) >= 2 {
-		path = p.backwardPath(req.Strategy)
+	// With a single seed the two paths are row-identical (one group's
+	// captured list is its rows in rid order), so only multi-seed traces
+	// need the decision — which keeps single-seed crossfilter interactions
+	// on the cheap per-seed path under every strategy, including auto.
+	node := plan.Backward{Source: p.plan, Table: p.table, Rel: p.tbl.rel, SeedPred: seedPred}
+	if req.Rids != nil {
+		node.SeedRids = slots
+	}
+	if _, ok := plan.TraceScanEquiv(node); ok && len(slots) >= 2 {
+		path, err := p.backwardPath(req.Strategy)
+		if err != nil {
+			return nil, err
+		}
 		switch {
-		case 2*len(slots) >= p.merged.N:
-			useScan = true // eager and lazy both scan at this coverage
-		case path == "lazy":
-			useScan = true // the lazy rewrite scans unconditionally
+		case exec.PreferScan(len(slots), p.merged.N), path == "lazy":
+			if path == "" {
+				// Strategy auto: echo the path the shards resolved it to at
+				// run time, as a single node's trace reply does.
+				path = tracePathOf(p.merged.StrategyUsed)
+			}
+			return c.scanBackward(node, req, params, path)
 		case path == "":
 			return nil, serr.New(serr.Unsupported,
 				"shard: this trace's row order depends on strategy auto's per-node cost decision; request an explicit strategy or seed fewer rows")
 		}
-	}
-	if useScan {
-		return c.scanBackward(ctx, sess, name, p, req, seedPred, params, slots, path)
 	}
 
 	cells, err := c.perSeedCells(ctx, sess, name, p, req, slots)
@@ -373,8 +311,8 @@ func (c *Coordinator) backwardScattered(ctx context.Context, sess *session, name
 // per-seed boundaries, so batching a shard's seeds into one request would
 // lose the seed-major interleave a single node produces. Crossfilter-style
 // interactions seed one output row, so the common case is exactly one wave.
-func (c *Coordinator) perSeedCells(ctx context.Context, sess *session, name string, p *placement, req traceBody, slots []int) ([]*wireResult, error) {
-	var cells []*wireResult
+func (c *Coordinator) perSeedCells(ctx context.Context, sess *session, name string, p *placement, req serverclient.TraceRequest, slots []lineage.Rid) ([]*serverclient.Result, error) {
+	var cells []*serverclient.Result
 	for _, g := range slots {
 		var participants []int
 		for s, local := range p.gm.globalToLocal[g] {
@@ -394,187 +332,42 @@ func (c *Coordinator) perSeedCells(ctx context.Context, sess *session, name stri
 	return cells, nil
 }
 
-func reqAggs(req traceBody) []ops.AggFn {
+func reqAggs(req serverclient.TraceRequest) []ops.AggFn {
 	aggs := make([]ops.AggFn, len(req.Aggs))
 	for i, a := range req.Aggs {
-		aggs[i], _ = parseAggFn(a.Fn) // validated in runScatteredTrace
+		aggs[i], _ = server.ParseAggFn(a.Fn) // validated in runScatteredTrace
 	}
 	return aggs
 }
 
-// scanBackward answers a backward trace the way a single node's scan rewrite
-// does: the traced rows are the base rows satisfying the folded predicate
-// (statement filters ∧ seed predicate ∧ trace filter), in rid order. The
-// coordinator holds the global base relation — it is the ingest point — so a
-// bare trace needs no shard round-trip; a consuming trace still gathers its
-// aggregate VALUES from per-seed shard cells (two-phase merge) and takes only
-// its row ORDER from the scan's first-appearance sequence.
-func (c *Coordinator) scanBackward(ctx context.Context, sess *session, name string, p *placement, req traceBody, seedPred expr.Expr, params expr.Params, slots []int, path string) (*wireResult, error) {
-	conj := p.scanPreds
-	if seedPred != nil {
-		conj = append(conj[:len(conj):len(conj)], seedPred)
+// scanBackward answers a scan-path backward trace the way a single node's
+// lazy trace does: the unbound trace node over the placement's plan and
+// capture-time relation, consumed exactly as the server consumes a trace
+// (server.Consume), runs through the engine, whose trace-rewrite collapses
+// it to one filtered scan (statement filters ∧ seed predicate ∧ trace
+// filter) in rid order. The coordinator holds the global base relation — it
+// is the ingest point — so no shard is asked.
+func (c *Coordinator) scanBackward(node plan.Backward, req serverclient.TraceRequest, params expr.Params, path string) (*serverclient.Result, error) {
+	if _, err := server.CaptureMode(req.Capture, ops.None); err != nil {
+		return nil, err
 	}
-	if req.Where != "" {
-		wp, err := sql.ParseExpr(req.Where)
-		if err != nil {
-			return nil, err
-		}
-		conj = append(conj[:len(conj):len(conj)], wp)
-	}
-	keep, err := compileConj(conj, p.tbl.rel, params)
+	q, err := server.Consume(c.db.QueryBackward(node), req)
 	if err != nil {
 		return nil, err
 	}
-
-	if len(req.GroupBy) == 0 && len(req.Aggs) == 0 {
-		out := wireRowsOf(p.tbl.rel, keep)
-		out.StrategyUsed = path
-		return out, nil
-	}
-
-	// Consuming: correct values from the per-seed merge, scan-order rows.
-	cells, err := c.perSeedCells(ctx, sess, name, p, req, slots)
+	res, err := q.Run(core.CaptureOptions{Params: params})
 	if err != nil {
 		return nil, err
 	}
-	merged, _, err := mergeGrouped(cells, len(req.GroupBy), reqAggs(req))
-	if err != nil {
-		return nil, err
-	}
-	gbCols := make([]int, len(req.GroupBy))
-	for i, col := range req.GroupBy {
-		ci := p.tbl.rel.Schema.Col(col)
-		if ci < 0 {
-			return nil, serr.New(serr.Invalid, "server: unknown column %q", col)
-		}
-		gbCols[i] = ci
-	}
-	rank := map[string]int{}
-	for r := 0; r < p.tbl.rel.N; r++ {
-		if keep != nil && !keep(r) {
-			continue
-		}
-		k := relKey(p.tbl.rel, gbCols, r)
-		if _, ok := rank[k]; !ok {
-			rank[k] = len(rank)
-		}
-	}
-	reorderGrouped(merged, len(req.GroupBy), rank)
-	return merged, nil
-}
-
-// compileConj compiles the conjunction of preds over rel; nil means
-// keep-everything.
-func compileConj(preds []expr.Expr, rel *storage.Relation, params expr.Params) (func(int) bool, error) {
-	var conj expr.Expr
-	for _, e := range preds {
-		if e == nil {
-			continue
-		}
-		if conj == nil {
-			conj = e
-		} else {
-			conj = expr.And{L: conj, R: e}
-		}
-	}
-	if conj == nil {
-		return nil, nil
-	}
-	cp, err := expr.CompilePred(conj, rel, params)
-	if err != nil {
-		return nil, serr.New(serr.Invalid, "server: trace filter: %v", err)
-	}
-	return func(r int) bool { return cp(int32(r)) }, nil
-}
-
-// wireRowsOf renders the rows of rel satisfying keep (nil = all) as a wire
-// result, in rid order — the scan rewrite's output shape.
-func wireRowsOf(rel *storage.Relation, keep func(int) bool) *wireResult {
-	out := &wireResult{Rows: [][]any{}}
-	for _, f := range rel.Schema {
-		out.Columns = append(out.Columns, f.Name)
-		out.Types = append(out.Types, typeName(f.Type))
-	}
-	for r := 0; r < rel.N; r++ {
-		if keep != nil && !keep(r) {
-			continue
-		}
-		row := make([]any, len(rel.Schema))
-		for ci, f := range rel.Schema {
-			switch f.Type {
-			case storage.TInt:
-				row[ci] = rel.Int(ci, r)
-			case storage.TFloat:
-				row[ci] = rel.Float(ci, r)
-			case storage.TString:
-				row[ci] = rel.Str(ci, r)
-			}
-		}
-		out.Rows = append(out.Rows, row)
-		out.N++
-	}
-	return out
-}
-
-// relKey renders the group-identity string of a base row's key columns in
-// exactly encodeKey's format, so ranks computed from the base relation match
-// keys computed from merged wire rows.
-func relKey(rel *storage.Relation, cols []int, r int) string {
-	var b strings.Builder
-	for _, ci := range cols {
-		switch rel.Schema[ci].Type {
-		case storage.TInt:
-			b.WriteByte('i')
-			b.WriteString(strconv.FormatInt(rel.Int(ci, r), 10))
-		case storage.TFloat:
-			b.WriteByte('f')
-			b.WriteString(strconv.FormatUint(math.Float64bits(rel.Float(ci, r)), 16))
-		case storage.TString:
-			s := rel.Str(ci, r)
-			b.WriteByte('s')
-			b.WriteString(strconv.Itoa(len(s)))
-			b.WriteByte(':')
-			b.WriteString(s)
-		}
-		b.WriteByte('|')
-	}
-	return b.String()
-}
-
-// reorderGrouped re-ranks a merged consuming result's rows (and group
-// counts) into the given first-appearance order. Keys absent from the rank
-// map — which a correct merge never produces — keep their relative order at
-// the end rather than dropping rows.
-func reorderGrouped(merged *wireResult, nKeys int, rank map[string]int) {
-	type slot struct {
-		row  []any
-		gc   int64
-		rank int
-	}
-	slotted := make([]slot, len(merged.Rows))
-	for i, row := range merged.Rows {
-		r, ok := rank[encodeKey(row[:nKeys])]
-		if !ok {
-			r = len(rank) + i
-		}
-		var gc int64
-		if i < len(merged.GroupCounts) {
-			gc = merged.GroupCounts[i]
-		}
-		slotted[i] = slot{row: row, gc: gc, rank: r}
-	}
-	sort.SliceStable(slotted, func(a, b int) bool { return slotted[a].rank < slotted[b].rank })
-	for i, s := range slotted {
-		merged.Rows[i] = s.row
-		if i < len(merged.GroupCounts) {
-			merged.GroupCounts[i] = s.gc
-		}
-	}
+	out := server.RenderRelation(res.Out)
+	out.GroupCounts = res.GroupCounts
+	out.StrategyUsed = path
+	return &out, nil
 }
 
 // concatCells concatenates non-consuming trace cells in order.
-func concatCells(cells []*wireResult) *wireResult {
-	out := &wireResult{Columns: cells[0].Columns, Types: cells[0].Types, Rows: [][]any{}}
+func concatCells(cells []*serverclient.Result) *serverclient.Result {
+	out := &serverclient.Result{Columns: cells[0].Columns, Types: cells[0].Types, Rows: [][]any{}}
 	strategy, uniform := cells[0].StrategyUsed, true
 	for _, cell := range cells {
 		out.Rows = append(out.Rows, cell.Rows...)
@@ -597,7 +390,7 @@ func concatCells(cells []*wireResult) *wireResult {
 // global row by group identity and applies the consuming filter against the
 // MERGED values, because the shard-local partial aggregates are not the
 // values a single node's filter would see.
-func (c *Coordinator) forwardScattered(ctx context.Context, sess *session, name string, p *placement, req traceBody, params expr.Params) (*wireResult, error) {
+func (c *Coordinator) forwardScattered(ctx context.Context, sess *session, name string, p *placement, req serverclient.TraceRequest, params expr.Params) (*serverclient.Result, error) {
 	if len(req.GroupBy) > 0 || len(req.Aggs) > 0 {
 		return nil, serr.New(serr.Unsupported,
 			"shard: consuming forward traces of a scattered result are not supported")
@@ -654,7 +447,7 @@ func (c *Coordinator) forwardScattered(ctx context.Context, sess *session, name 
 		if err != nil {
 			return nil, err
 		}
-		rel, err := relationOf("merged", p.merged.Columns, p.merged.Types, p.merged.Rows)
+		rel, err := server.ResultRelation("merged", p.merged)
 		if err != nil {
 			return nil, err
 		}
@@ -671,7 +464,7 @@ func (c *Coordinator) forwardScattered(ctx context.Context, sess *session, name 
 	// Maximal same-owner seed runs, one shard request per run: the shard
 	// answers its seeds' reached rows in seed order, so run-order concat is
 	// the global seed-order concat.
-	out := &wireResult{Columns: p.merged.Columns, Types: p.merged.Types, Rows: [][]any{}}
+	out := &serverclient.Result{Columns: p.merged.Columns, Types: p.merged.Types, Rows: [][]any{}}
 	strategy, uniform, first := "", true, true
 	for i := 0; i < len(seeds); {
 		owner := t.ownerOf(seeds[i])

@@ -1,185 +1,44 @@
 package shard
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"math"
+	"net/http"
 	"strconv"
 	"strings"
 
-	"smoke/internal/expr"
 	"smoke/internal/serr"
-	"smoke/internal/storage"
+	"smoke/internal/serverclient"
 )
 
-// wireResult mirrors the server's result body (internal/server resultJSON):
-// the coordinator decodes shard replies into it and encodes its own merged
-// replies from it, so the sharded API is byte-shape identical to a single
-// node's.
-type wireResult struct {
-	Columns []string `json:"columns"`
-	Types   []string `json:"types"`
-	Rows    [][]any  `json:"rows"`
-	N       int      `json:"row_count"`
-	// GroupCounts carries each group's input cardinality on grouped results.
-	// Shard replies must include it for the coordinator's two-phase
-	// aggregation merge (AVG reweighting needs the partial group sizes).
-	GroupCounts  []int64 `json:"group_counts,omitempty"`
-	Cached       bool    `json:"cached,omitempty"`
-	Explain      string  `json:"explain,omitempty"`
-	Retained     string  `json:"retained,omitempty"`
-	StrategyUsed string  `json:"strategy_used,omitempty"`
+// decodeReply decodes a shard's reply through the shared wire decoder
+// (serverclient.Decode): a 2xx body into out, anything else into the
+// structured error the shard answered with, so the coordinator's reply
+// carries the same kind, message, and SQL position — proxying must not
+// flatten a 404 or a positioned 400 into an opaque 500.
+func decodeReply(shardID int, res *callResult, out any) error {
+	err := serverclient.Decode(res.status, res.body, out)
+	var se *serverclient.Error
+	switch {
+	case err == nil:
+		return nil
+	case !errors.As(err, &se):
+		return serr.New(serr.Internal, "shard: undecodable shard reply: %v", err)
+	case !se.Structured:
+		return serr.New(serr.Internal, "shard: shard %d answered %d with an unreadable error body", shardID, se.Status)
+	case se.Pos >= 0:
+		return serr.At(serr.ParseKind(se.Kind), se.Pos, "%s", se.Message)
+	}
+	return serr.New(serr.ParseKind(se.Kind), "%s", se.Message)
 }
 
-// decodeResult parses a shard's 2xx reply body. Numbers decode with
-// UseNumber and are then normalized by column type (int64 / float64), so
-// merge arithmetic never round-trips large int64 values through float64.
-func decodeResult(body []byte) (*wireResult, error) {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.UseNumber()
-	var w wireResult
-	if err := dec.Decode(&w); err != nil {
-		return nil, serr.New(serr.Internal, "shard: undecodable shard reply: %v", err)
+// decodeRequest decodes a client request body with the same int64-exact
+// number handling the single-node server applies.
+func decodeRequest(body []byte, v any) error {
+	if err := serverclient.Decode(http.StatusOK, body, v); err != nil {
+		return serr.New(serr.Invalid, "server: bad request body: %v", err)
 	}
-	for _, row := range w.Rows {
-		for c := range row {
-			n, ok := row[c].(json.Number)
-			if !ok || c >= len(w.Types) {
-				continue
-			}
-			switch w.Types[c] {
-			case "int":
-				if v, err := n.Int64(); err == nil {
-					row[c] = v
-				}
-			case "float":
-				if v, err := n.Float64(); err == nil {
-					row[c] = v
-				}
-			}
-		}
-	}
-	return &w, nil
-}
-
-// unmarshalNumber decodes JSON with UseNumber, the same int64-exact number
-// handling the single-node server applies to request bodies.
-func unmarshalNumber(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.UseNumber()
-	return dec.Decode(v)
-}
-
-// errorFromShard rebuilds the structured error a shard answered with, so the
-// coordinator's reply carries the same kind, message, and SQL position the
-// shard produced — proxying must not flatten a 404 or a positioned 400 into
-// an opaque 500.
-func errorFromShard(shardID int, status int, body []byte) error {
-	var eb struct {
-		Error struct {
-			Kind    string `json:"kind"`
-			Message string `json:"message"`
-			Pos     *int   `json:"pos"`
-		} `json:"error"`
-	}
-	if json.Unmarshal(body, &eb) != nil || eb.Error.Kind == "" {
-		return serr.New(serr.Internal, "shard: shard %d answered %d with an unreadable error body", shardID, status)
-	}
-	kind := serr.ParseKind(eb.Error.Kind)
-	if eb.Error.Pos != nil {
-		return serr.At(kind, *eb.Error.Pos, "%s", eb.Error.Message)
-	}
-	return serr.New(kind, "%s", eb.Error.Message)
-}
-
-// relationOf rebuilds a storage relation from a wire result so the
-// coordinator can compile and evaluate seed predicates against a merged
-// output (backward seeds) exactly the way a single node evaluates them
-// against its own output relation.
-func relationOf(name string, columns, types []string, rows [][]any) (*storage.Relation, error) {
-	schema := make(storage.Schema, len(columns))
-	for c, col := range columns {
-		schema[c].Name = col
-		switch types[c] {
-		case "int":
-			schema[c].Type = storage.TInt
-		case "float":
-			schema[c].Type = storage.TFloat
-		case "string":
-			schema[c].Type = storage.TString
-		default:
-			return nil, serr.New(serr.Internal, "shard: column %q has unknown wire type %q", col, types[c])
-		}
-	}
-	rel := storage.NewRelation(name, schema, len(rows))
-	for i, row := range rows {
-		if len(row) != len(schema) {
-			return nil, serr.New(serr.Internal, "shard: merged row %d has %d values for %d columns", i, len(row), len(schema))
-		}
-		for c, f := range schema {
-			switch f.Type {
-			case storage.TInt:
-				v, ok := row[c].(int64)
-				if !ok {
-					return nil, serr.New(serr.Internal, "shard: merged row %d column %s: want int64, got %T", i, f.Name, row[c])
-				}
-				rel.Cols[c].Ints[i] = v
-			case storage.TFloat:
-				v, ok := row[c].(float64)
-				if !ok {
-					return nil, serr.New(serr.Internal, "shard: merged row %d column %s: want float64, got %T", i, f.Name, row[c])
-				}
-				rel.Cols[c].Floats[i] = v
-			case storage.TString:
-				v, ok := row[c].(string)
-				if !ok {
-					return nil, serr.New(serr.Internal, "shard: merged row %d column %s: want string, got %T", i, f.Name, row[c])
-				}
-				rel.Cols[c].Strs[i] = v
-			}
-		}
-	}
-	return rel, nil
-}
-
-// paramsOf converts wire parameters to expression parameters with the same
-// rules the single-node server applies (integral numbers bind as int64), so
-// a seed predicate evaluated at the coordinator sees the identical bindings
-// a shard would.
-func paramsOf(in map[string]any) (expr.Params, error) {
-	if len(in) == 0 {
-		return nil, nil
-	}
-	out := expr.Params{}
-	for k, v := range in {
-		switch n := v.(type) {
-		case string, bool:
-			out[k] = n
-		case json.Number:
-			if i, err := n.Int64(); err == nil {
-				if f, ferr := n.Float64(); ferr == nil && float64(i) != f {
-					out[k] = f
-				} else {
-					out[k] = i
-				}
-				continue
-			}
-			f, err := n.Float64()
-			if err != nil {
-				return nil, serr.New(serr.Invalid, "shard: parameter %q: %v", k, err)
-			}
-			out[k] = f
-		case float64:
-			out[k] = n
-		case int64:
-			out[k] = n
-		case int:
-			out[k] = int64(n)
-		default:
-			return nil, serr.New(serr.Invalid, "shard: parameter %q has unsupported type %T", k, v)
-		}
-	}
-	return out, nil
+	return nil
 }
 
 // encodeKey builds the group-identity string of a key tuple. Float keys
