@@ -41,6 +41,23 @@ func TestMultiBlockDifferentialEquivalence(t *testing.T) {
 	}
 }
 
+// TestSnowflakeDifferentialEquivalence is the snowflake-chain gate: TPC-H Q3,
+// Q10 and plain 3- and 4-deep pk-fk chains over declared primary keys must
+// fuse into one multi-input SPJA block (uniqueness carried through the
+// lower joins) and stay element-identical to the generic reference across
+// every plan variant.
+func TestSnowflakeDifferentialEquivalence(t *testing.T) {
+	seeds := []int64{13, 2030}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, seed := range seeds {
+		if err := CheckSnowflake(seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestTraceDifferentialEquivalence is the consuming-query gate: randomized
 // backward/forward trace-then-aggregate plans (bound and unbound, rid- and
 // predicate-seeded, duplicate seeds included) must be element-identical

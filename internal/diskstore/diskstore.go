@@ -26,6 +26,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"smoke/internal/lineage"
 	"smoke/internal/serr"
@@ -91,6 +92,12 @@ type Store struct {
 	// relByFile dedups loads: results sharing a base segment share the
 	// loaded *Relation.
 	relByFile map[string]*storage.Relation
+
+	// nextSession is the session-id watermark the registry records. It is an
+	// atomic max outside mu, so opening a session never waits behind a
+	// manifest publish (which holds mu across write, fsync, rename and
+	// sweep); publishLocked copies it into the manifest before marshalling.
+	nextSession atomic.Uint64
 }
 
 // Open opens (or initializes) a store directory: loads the manifest, drops
@@ -124,6 +131,7 @@ func Open(dir string) (*Store, error) {
 	default:
 		return nil, err
 	}
+	s.nextSession.Store(s.man.NextSessionID)
 	s.dropMissing()
 	if err := s.sweepOrphans(); err != nil {
 		return nil, err
@@ -202,6 +210,9 @@ func (s *Store) sweepOrphans() error {
 // publish atomically replaces the manifest, then sweeps newly unreferenced
 // segments. Caller holds s.mu.
 func (s *Store) publishLocked() error {
+	if wm := s.nextSession.Load(); wm > s.man.NextSessionID {
+		s.man.NextSessionID = wm
+	}
 	raw, err := json.MarshalIndent(&s.man, "", "  ")
 	if err != nil {
 		return err
@@ -260,22 +271,23 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// NextSessionID returns the persisted session-id watermark.
+// NextSessionID returns the session-id watermark: the larger of the
+// persisted one (which seeded the recorded one at Open) and the largest
+// recorded since.
 func (s *Store) NextSessionID() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.man.NextSessionID
+	return s.nextSession.Load()
 }
 
-// SetNextSessionID records the registry's session-id watermark in the
-// in-memory manifest; it rides out with the next publish. Persisting it
+// SetNextSessionID records the registry's session-id watermark; it rides out
+// with the next publish. It never takes the store mutex. Persisting it
 // lazily is safe: a session becomes recoverable only via a PutResult, whose
 // publish carries the watermark that already covers the session's own id.
 func (s *Store) SetNextSessionID(id uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if id > s.man.NextSessionID {
-		s.man.NextSessionID = id
+	for {
+		cur := s.nextSession.Load()
+		if id <= cur || s.nextSession.CompareAndSwap(cur, id) {
+			return
+		}
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"smoke/internal/lineage"
 	"smoke/internal/storage"
@@ -314,6 +316,88 @@ func TestSessionWatermarkPersists(t *testing.T) {
 	}
 	if sessions := s2.Sessions(); sessions["s2a"]["q"] <= 0 {
 		t.Fatalf("sessions = %v, want s2a/q with positive bytes", sessions)
+	}
+}
+
+// TestSetNextSessionIDDoesNotWaitForPublish holds the store mutex, as an
+// in-flight manifest publish does across its write, fsync, rename and sweep,
+// and requires the watermark update to return anyway: opening a session
+// must not stall behind the flusher.
+func TestSetNextSessionIDDoesNotWaitForPublish(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		s.SetNextSessionID(9)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		s.mu.Unlock()
+		<-done
+		t.Fatal("SetNextSessionID waited for the store mutex")
+	}
+	got := s.NextSessionID()
+	s.mu.Unlock()
+	if got != 9 {
+		t.Fatalf("next session id = %d, want 9", got)
+	}
+}
+
+// TestSessionWatermarkSurvivesPublish pins the recovery semantics of the
+// lock-free watermark: watermarks recorded from several goroutines while
+// publishes run keep their maximum, it rides out with the next publish of
+// any kind, a lower one never rolls it back, and one recorded after the last
+// publish is lost with a crash (the registry re-derives ids from recovered
+// sessions).
+func TestSessionWatermarkSurvivesPublish(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := uint64(0); g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := g; id <= 40; id += 4 {
+				s.SetNextSessionID(id)
+				if id%8 == 0 {
+					if err := s.Publish(); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	s.SetNextSessionID(5)
+	if err := s.PutTable(testRelation("t", 4), "id"); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.NextSessionID(); got != 40 {
+		t.Fatalf("after restart: next session id = %d, want 40", got)
+	}
+	s2.SetNextSessionID(50) // never published
+	s2.Close()
+	s3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if got := s3.NextSessionID(); got != 40 {
+		t.Fatalf("unpublished watermark: next session id = %d, want 40", got)
 	}
 }
 

@@ -445,7 +445,9 @@ func hasMultiInput(n Node) bool {
 
 // detectPKFK marks joins whose left (build) key is provably unique: declared
 // as a primary key in the catalog, the single group-by key of an aggregation
-// output, or verified unique by scanning an integer base column. The physical
+// output, verified unique by scanning an integer base column, or carried
+// unique through a pk-fk join below (so snowflake chains such as customer ⋈
+// orders ⋈ lineitem are pk-fk at every level, bottom-up). The physical
 // layer then runs the pk-fk specialization, and the fusion rule treats the
 // join as part of an SPJA chain.
 func detectPKFK(n Node, o Opts) Node {
@@ -516,6 +518,24 @@ func keyUnique(n Node, col string, cat *storage.Catalog) bool {
 		return len(node.Keys) == 1 && node.Keys[0] == col
 	case SPJA:
 		return len(node.Keys) == 1 && node.Keys[0].Col == col
+	case Join:
+		// A pk-fk join emits each probe (right) row at most once, so a column
+		// owned by the probe side keeps its uniqueness; when the probe key is
+		// unique too (1:1), each build row is emitted at most once as well.
+		if node.Cols != nil && !containsStr(node.Cols, col) {
+			return false
+		}
+		if !node.PKFK && !keyUnique(node.Left, node.LeftKey, cat) {
+			return false
+		}
+		// A name both sides provide, or a side cannot resolve, is ambiguous.
+		switch l, r := resolveCount(node.Left, col), resolveCount(node.Right, col); {
+		case l == 0 && r == 1:
+			return keyUnique(node.Right, col, cat)
+		case l == 1 && r == 0:
+			return keyUnique(node.Right, node.RightKey, cat) && keyUnique(node.Left, col, cat)
+		}
+		return false
 	case OrderBy:
 		return keyUnique(node.Child, col, cat)
 	case Limit:

@@ -246,3 +246,93 @@ func TestOutSchemaShapes(t *testing.T) {
 		t.Fatal("SingleBase over two bases must be nil")
 	}
 }
+
+// snowflake builds a customer → orders → lineitem chain plus a 1:1 profile
+// table keyed on customer: every *key column is unique in its own relation,
+// the foreign keys (o_custkey, l_orderkey) repeat, and the tag columns are
+// unique on both sides of a customer-profile join under one shared name.
+func snowflake() (cust, prof, ord, line *storage.Relation) {
+	cust = storage.NewEmpty("customer", storage.Schema{
+		{Name: "c_custkey", Type: storage.TInt},
+		{Name: "tag", Type: storage.TInt},
+	})
+	prof = storage.NewEmpty("profile", storage.Schema{
+		{Name: "p_custkey", Type: storage.TInt},
+		{Name: "tag", Type: storage.TInt},
+	})
+	for c := 0; c < 3; c++ {
+		cust.AppendRow(c, 10+c)
+		prof.AppendRow(c, 20+c)
+	}
+	ord = storage.NewEmpty("orders", storage.Schema{
+		{Name: "o_orderkey", Type: storage.TInt},
+		{Name: "o_custkey", Type: storage.TInt},
+	})
+	for o := 0; o < 6; o++ {
+		ord.AppendRow(100+o, o%3)
+	}
+	line = storage.NewEmpty("lineitem", storage.Schema{
+		{Name: "l_orderkey", Type: storage.TInt},
+		{Name: "l_qty", Type: storage.TFloat},
+	})
+	for l := 0; l < 12; l++ {
+		line.AppendRow(100+l%6, float64(l))
+	}
+	return cust, prof, ord, line
+}
+
+func TestKeyUniqueThroughPKFKJoins(t *testing.T) {
+	cust, prof, ord, line := snowflake()
+	scan := func(r *storage.Relation) Scan { return Scan{Table: r.Name, Rel: r} }
+	custOrd := Join{Left: scan(cust), Right: scan(ord), LeftKey: "c_custkey", RightKey: "o_custkey"}
+
+	// Q3's chain: o_orderkey comes from the probe side of a pk-fk join, so
+	// it stays unique and the outer join is pk-fk too; the block fuses into
+	// one 3-input SPJA.
+	q3 := Join{Left: custOrd, Right: scan(line), LeftKey: "o_orderkey", RightKey: "l_orderkey"}
+	got := detectPKFK(q3, Opts{}).(Join)
+	if !got.PKFK || !got.Left.(Join).PKFK {
+		t.Fatalf("Q3 chain not marked pk-fk at both joins:\n%s", Format(got))
+	}
+	fused, _ := Optimize(GroupBy{Child: q3, Keys: []string{"o_orderkey"},
+		Aggs: []AggDef{{Fn: ops.Sum, Arg: expr.C("l_qty"), Name: "q"}}}, Opts{})
+	if s, ok := fused.(SPJA); !ok || len(s.Inputs) != 3 {
+		t.Fatalf("Q3 chain did not fuse into a 3-input SPJA:\n%s", Format(fused))
+	}
+
+	// A 1:1 join keeps build-side keys unique as well.
+	custProf := Join{Left: scan(cust), Right: scan(prof), LeftKey: "c_custkey", RightKey: "p_custkey"}
+	if !keyUnique(custProf, "c_custkey", nil) || !keyUnique(custProf, "p_custkey", nil) {
+		t.Fatal("1:1 join lost a key's uniqueness")
+	}
+	if got := detectPKFK(Join{Left: custProf, Right: scan(ord), LeftKey: "c_custkey", RightKey: "o_custkey"},
+		Opts{}).(Join); !got.PKFK {
+		t.Fatal("join on a build-side key of a 1:1 join not marked pk-fk")
+	}
+
+	// An M:N join repeats probe rows: o_orderkey is unique in orders but not
+	// in lineitem ⋈ orders.
+	mn := Join{Left: scan(line), Right: scan(ord), LeftKey: "l_orderkey", RightKey: "o_orderkey"}
+	if keyUnique(mn, "o_orderkey", nil) {
+		t.Fatal("probe key of an M:N join reported unique")
+	}
+	// The build side of a 1:N pk-fk join repeats once per matching probe row.
+	if keyUnique(custOrd, "c_custkey", nil) {
+		t.Fatal("build-side key of a 1:N join reported unique")
+	}
+	if got := detectPKFK(Join{Left: custOrd, Right: scan(prof), LeftKey: "c_custkey", RightKey: "p_custkey"},
+		Opts{}).(Join); got.PKFK {
+		t.Fatal("join on a repeated build-side key marked pk-fk")
+	}
+	// A column the join does not materialize is not a key of its output.
+	pruned := custOrd
+	pruned.Cols = []string{"o_custkey"}
+	if keyUnique(pruned, "o_orderkey", nil) {
+		t.Fatal("column pruned by Cols reported unique")
+	}
+	// tag is unique on both sides of the 1:1 join, but the name is ambiguous
+	// in its output.
+	if keyUnique(custProf, "tag", nil) {
+		t.Fatal("ambiguous column reported unique")
+	}
+}

@@ -162,6 +162,65 @@ func TestDiskBudgetFallsBackToLazyTier(t *testing.T) {
 	}
 }
 
+// Lazy results, and hybrid ones for their forward direction, answer traces
+// by re-executing their plan, which the disk tier does not keep. Pushed out
+// of memory they must drop to the spec-backed lazy tier, never to a disk
+// copy whose traces fail with "no backward index", and trace exactly as
+// they did while resident.
+func TestPlanBoundDemotionSkipsDiskTier(t *testing.T) {
+	for _, tc := range []struct {
+		strategy, direction string
+		rids                []int64
+	}{
+		{"lazy", "backward", []int64{0}},
+		{"hybrid", "forward", []int64{3}},
+	} {
+		t.Run(tc.strategy, func(t *testing.T) {
+			c, srv, store, stop := newDiskServer(t, t.TempDir(), func(cfg *Config) {
+				cfg.MaxResultsPerSession = 1
+			})
+			defer stop()
+			ctx := context.Background()
+			mustCreateOrders(t, c)
+			sess, err := c.NewSession(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sess.Run(ctx, "first", serverclient.QueryRequest{
+				SQL: "SELECT region, COUNT(*) AS n FROM orders GROUP BY region", Strategy: tc.strategy}); err != nil {
+				t.Fatal(err)
+			}
+			traceReq := serverclient.TraceRequest{Direction: tc.direction, Table: "orders", Rids: tc.rids}
+			want, err := sess.Trace(ctx, "first", traceReq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Retaining "second" pushes "first" out (cap 1); drain so any
+			// segment write queued for it would have landed.
+			if _, err := sess.Run(ctx, "second", serverclient.QueryRequest{
+				SQL: "SELECT region, SUM(amount) AS s FROM orders GROUP BY region"}); err != nil {
+				t.Fatal(err)
+			}
+			srv.sessions.fl.drain()
+			if _, err := store.LoadResult(sess.ID, "first"); err == nil {
+				t.Fatalf("%s result reached the disk tier", tc.strategy)
+			}
+			got, err := sess.Trace(ctx, "first", traceReq)
+			if err != nil {
+				t.Fatalf("trace of the pushed-out %s result: %v", tc.strategy, err)
+			}
+			sameRows(t, tc.strategy+" "+tc.direction+" trace", got, want)
+			h, err := c.Health(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := healthCount(t, h, "lazy_fallbacks"); n != 1 {
+				t.Fatalf("lazy_fallbacks = %d, want 1", n)
+			}
+		})
+	}
+}
+
 // A server restarted over the same data dir recovers ingested tables and
 // retained sessions: bound traces (backward and forward, raw and
 // compressed) answer element-identically to before the restart, and a new

@@ -24,8 +24,9 @@ type resultStore interface {
 // resultToDisk projects a retained result onto the disk tier's exchange
 // shape: the output relation, group counts, the captured lineage indexes,
 // and the base-relation snapshots the capture's rids address. The plan does
-// not survive demotion — a promoted result serves bound traces only, which
-// is all the session API offers on it.
+// not survive demotion, so only results whose traces all read the capture
+// come here (planBound results skip the disk tier); a promoted result serves
+// bound traces off its capture, which is all the session API offers on it.
 func resultToDisk(res *core.Result) *diskstore.Result {
 	return &diskstore.Result{
 		Out:         res.Out,

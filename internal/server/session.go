@@ -55,7 +55,9 @@ import (
 // off-lock into a segment-backed view first; whether a trace then promotes
 // (re-retains) or answers straight off the view is a cost decision — see
 // getForTrace. Without a store every demotion degrades to the old behavior:
-// straight to gone.
+// straight to gone. So does the demotion of a plan-bound (lazy or hybrid)
+// result, whose traces need the plan the disk tier does not keep: the
+// trace handler re-derives it from its remembered spec (the lazy tier).
 //
 // Names and session ids in the gone tier leave tombstones so a later
 // reference answers 410 Gone ("re-run your base query") rather than 404 Not
@@ -474,7 +476,7 @@ func (r *registry) cancelPendingLocked(rr *retainedResult) {
 // result stays resident. A write already pending is reused, escalating to
 // drop when asked. Reports whether a write is pending on return.
 func (r *registry) enqueuePutLocked(s *session, name string, rr *retainedResult, drop bool) bool {
-	if r.fl == nil || rr.onDisk {
+	if r.fl == nil || rr.onDisk || planBound(rr.res) {
 		return false
 	}
 	now := r.clock()
@@ -780,15 +782,27 @@ func (r *registry) demoteLRUResultLocked(keep *retainedResult, now time.Time) bo
 	return r.demoteLocked(lruSess, lruName, lruRes, now)
 }
 
+// planBound reports whether res answers some trace by re-executing its
+// stored plan: lazy results, and hybrid results for their forward
+// direction. The disk tier keeps captures, not plans, so a restored copy
+// could not answer those traces; such results skip the disk tier and demote
+// straight to the spec-backed lazy tier (a tombstone plus the remembered
+// producing request, which the trace handler re-runs).
+func planBound(res *core.Result) bool {
+	st := res.Strategy()
+	return st == core.StrategyLazy || st == core.StrategyHybrid
+}
+
 // demoteLocked moves one retained result out of the memory tier. With no
-// store it degrades to gone immediately. With a current disk copy the
+// store, or for a plan-bound result, it degrades to gone (and so to the lazy
+// tier) immediately. With a current disk copy the
 // demotion is free: memory drops now. Otherwise the result enters the
 // demoting state — the segment write queues on the flusher and the memory
 // copy is released only when it lands (a get meanwhile serves the resident
 // copy and keeps it hot). Reports whether the demotion made, or queued,
 // progress; false means the flusher is saturated and the result stays.
 func (r *registry) demoteLocked(s *session, name string, rr *retainedResult, now time.Time) bool {
-	if r.store == nil {
+	if r.store == nil || planBound(rr.res) {
 		r.releaseRefLocked(rr.res)
 		delete(s.results, name)
 		s.gone.add(name)
@@ -1040,7 +1054,7 @@ func (r *registry) flush() error {
 	for _, set := range []map[string]*session{r.sessions, r.dormant} {
 		for _, s := range set {
 			for name, rr := range s.results {
-				if rr.onDisk || rr.flushSeq != 0 {
+				if rr.onDisk || rr.flushSeq != 0 || planBound(rr.res) {
 					continue
 				}
 				r.flushSeqGen++
